@@ -29,6 +29,12 @@ never happens. Deep in the contraction ball the principal step inverts the
 conjugate polynomial V(v) = P(b + v) - b by Newton iteration on deviations,
 which needs no root finding and keeps the relative error of v at the
 rounding level no matter how small v gets.
+
+There is one orbit walker: _expand_level for the digit prefix, then
+_tail_products for the principal tail. The single products (zero_product,
+inverse_branch, g0_and_derivative) run it on a one-node array, and their
+n_cap counts prefix and tail factors together. The derivative of the
+principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 """
 
 import math
@@ -41,7 +47,6 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import (
-    BasinEscape,
     DivergentTail,
     InvalidIndices,
     NonConvergence,
@@ -50,6 +55,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .poly import all_roots, roots_batch
+from .system import _eval_f_with_slope
 
 # |w - b| at or below this routes through the degenerate-anchor construction.
 W_NEAR_B = 1e-12
@@ -541,59 +547,29 @@ def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200,
                              offset, tol, n_cap, root_tolerance)
 
 
-def _scalar_product(sys, digits, v0, tol, n_cap, root_tolerance, label):
-    """Scalar mirror of the batched sweep for a single address.
+def _address_product(sys, digits, v0, tol, n_cap, root_tolerance, label):
+    """One address on the sweep kernel, from the start deviation v0.
 
-    Walks the deviation v = u - b along the digit prefix and then the
-    principal tail; the telescoped partial value after n steps is a^n v_n,
-    so no separate product accumulation is needed. Returns (value, terms,
-    estimate) where estimate bounds the relative size of the retired tail.
+    Each digit expands the single node with _expand_level and keeps the
+    child it names; the principal tail then gets the factors of n_cap the
+    prefix left over, so n_cap counts prefix and tail factors together.
     """
     for dig in digits:
         if dig >= sys.d:
             raise InvalidIndices(
                 f"digit {dig} out of range for degree {sys.d}")
-    delta = contraction_delta(sys)
-    a_abs = abs(sys.a)
-    c_floor = 1.0 / a_abs
-    c_cert = 0.5 * (1.0 + c_floor)
-    r_deep = _deep_radius(sys)
-    dV = sys.V.derivative()
-
-    v = complex(v0)
-    prevdist = abs(v)
-    streak = 0
+    v = np.array([v0], dtype=np.complex128)
+    for dig in digits:
+        v = _expand_level(sys, v, root_tolerance)[dig:dig + 1]
     prefix = len(digits)
-    n = 0
-    while n < n_cap:
-        dig = digits[n] if n < prefix else 0
-        gap = None
-        if dig == 0 and 0.0 < abs(v) < r_deep:
-            x = complex(_conjugate_newton(sys, np.array([v]), dV)[0])
-            gap = abs(sys.a * x / v - 1.0)
-            v = x
-        else:
-            u = branch_labels(sys, sys.b + v, root_tolerance)[dig]
-            if dig == 0:
-                qv = sys.Q.eval(u)
-                if qv == 0:
-                    raise ZeroDenominator(f"{label}: Q vanished on the orbit")
-                gap = abs(sys.a / qv - 1.0)
-                v = v / qv
-            else:
-                v = u - sys.b
-        n += 1
-        dist = abs(v)
-        streak = streak + 1 if dist < delta else 0
-        ratio = dist / prevdist if prevdist > 0.0 else 0.0
-        prevdist = dist
-        if n > prefix and gap is not None:
-            c_used = min(max(ratio, c_floor), c_cert)
-            estimate = gap * c_used / (1.0 - c_used)
-            if gap <= tol and streak >= REGION_STREAK and estimate <= tol:
-                return sys.a ** n * v, n, estimate
-    raise NonConvergence(f"{label}: tail stopping rule unmet after {n_cap} "
-                         f"factors")
+    tail, steps, est, conv = _tail_products(sys, v, tol, n_cap - prefix,
+                                            root_tolerance)
+    if not conv[0]:
+        raise NonConvergence(f"{label}: tail stopping rule unmet after "
+                             f"{n_cap} factors")
+    return BranchProduct(value=complex(sys.a ** prefix * v[0] * tail[0]),
+                         terms_used=prefix + int(steps[0]),
+                         tail_estimate=float(est[0]), converged=True)
 
 
 def _as_sigma(sigma):
@@ -606,18 +582,17 @@ def _as_sigma(sigma):
 def zero_product(sys, sigma, tol=1e-12, n_cap=200, root_tolerance=1e-13):
     """Zero of f addressed by sigma, via the orbit walk started at w = 0."""
     sigma = _as_sigma(sigma)
-    value, n, est = _scalar_product(sys, sigma.digits, -sys.b, tol, n_cap,
-                                    root_tolerance, "zero_product")
-    return BranchProduct(value=value, terms_used=n, tail_estimate=est,
-                         converged=True)
+    return _address_product(sys, sigma.digits, -sys.b, tol, n_cap,
+                            root_tolerance, "zero_product")
 
 
 def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
     """Solution of f(z) = w addressed by sigma.
 
     The walk starts from the deviation w - b and handles the degenerate
-    anchor w = b transparently: leading zero digits hold v = 0 in place and
-    the first nonzero digit jumps to a preimage label of b itself.
+    anchor w = b transparently: leading zero digits hold v = 0 in place
+    (Q(b) = a) and the first nonzero digit jumps to a preimage label of b
+    itself.
     """
     sigma = _as_sigma(sigma)
     w = complex(w)
@@ -627,63 +602,26 @@ def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
             return BranchProduct(value=0j, terms_used=0, tail_estimate=0.0,
                                  converged=True)
         v0 = 0j
-    value, n, est = _scalar_product(sys, sigma.digits, v0, tol, n_cap,
-                                    root_tolerance, "inverse_branch")
-    return BranchProduct(value=value, terms_used=n, tail_estimate=est,
-                         converged=True)
+    return _address_product(sys, sigma.digits, v0, tol, n_cap,
+                            root_tolerance, "inverse_branch")
 
 
 def g0_and_derivative(sys, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
     """Principal inverse g_0 and its derivative at w.
 
-    g_0(w) = (w - b) prod a/Q(u_n) and g_0'(w) = prod a/P'(u_n) along the
-    principal orbit from w; at w = b both are exact: (0, 1).
+    g_0(w) is the product of the empty address. Its derivative is
+    1 / f'(g_0(w)), with f' the chain product a^-n prod V'(v_k) of the
+    direct evaluator; at w = b both are exact: (0, 1).
     """
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         return 0j, 1.0 + 0j
-    delta = contraction_delta(sys)
-    a_abs = abs(sys.a)
-    c_floor = 1.0 / a_abs
-    c_cert = 0.5 * (1.0 + c_floor)
-    dP = sys.P.derivative()
-    dV = sys.V.derivative()
-    r_deep = _deep_radius(sys)
-
-    v = w - sys.b
-    acc_d = 1.0 + 0j
-    prevdist = abs(v)
-    streak = 0
-    for n in range(1, n_cap + 1):
-        if 0.0 < abs(v) < r_deep:
-            x = complex(_conjugate_newton(sys, np.array([v]), dV)[0])
-            fq = sys.a * x / v
-            v = x
-        else:
-            u = branch_labels(sys, sys.b + v, root_tolerance)[0]
-            qv = sys.Q.eval(u)
-            if qv == 0:
-                raise ZeroDenominator("g0: orbit hit a zero of Q")
-            fq = sys.a / qv
-            v = v / qv
-        pv = dP.eval(sys.b + v)
-        if pv == 0:
-            raise ZeroDenominator("g0: orbit hit a zero of P'")
-        fd = sys.a / pv
-        acc_d *= fd
-        dist = abs(v)
-        streak = streak + 1 if dist < delta else 0
-        ratio = dist / prevdist if prevdist > 0.0 else 0.0
-        prevdist = dist
-        gap = max(abs(fq - 1.0), abs(fd - 1.0))
-        c_used = min(max(ratio, c_floor), c_cert)
-        estimate = gap * c_used / (1.0 - c_used)
-        if gap <= tol and streak >= REGION_STREAK and estimate <= tol:
-            return sys.a ** n * v, acc_d
-    if prevdist >= delta:
-        raise BasinEscape(f"principal orbit from {w} did not reach the "
-                          f"contraction ball within {n_cap} steps")
-    raise NonConvergence(f"g0: stopping rule unmet after {n_cap} steps")
+    g = _address_product(sys, (), w - sys.b, tol, n_cap, root_tolerance,
+                         "g0").value
+    slope = _eval_f_with_slope(sys, g, tol=tol)[1]
+    if slope == 0:
+        raise ZeroDenominator("g0: f' vanishes at g0(w)")
+    return g, 1.0 / slope
 
 
 def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500,

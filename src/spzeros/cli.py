@@ -28,6 +28,8 @@ import numpy as np
 
 from .branches import (
     W_NEAR_B,
+    BranchSweep,
+    _supports_from_indices,
     check_hypothesis1,
     sweep_products,
     sweep_solutions_at_b,
@@ -38,6 +40,7 @@ from .pngwriter import scatter_png
 from .problemfile import (
     ProblemSpec,
     check_enumeration_size,
+    check_tolerance,
     load_problem,
     parse_problem,
     serialize_problem,
@@ -77,13 +80,21 @@ def _sigma_string(digits, d):
     return ",".join(str(v) for v in digits)
 
 
+def _require_finite(value, text):
+    # Raised past argparse, so that main reports it as bad input (exit 1).
+    if not cmath.isfinite(value):
+        raise ValidationError(f"expected a finite value, got {text!r}")
+    return value
+
+
 def _parse_complex(text):
     parts = text.split(",")
     try:
         if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
+            return _require_finite(complex(float(parts[0]), 0.0), text)
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+            return _require_finite(
+                complex(float(parts[0]), float(parts[1])), text)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
@@ -107,7 +118,7 @@ def _parse_circle(text):
     if len(parts) == 2:
         try:
             radius, count = float(parts[0]), int(parts[1])
-            if radius > 0 and count >= 1:
+            if _require_finite(radius, text) > 0 and count >= 1:
                 return radius, count
         except ValueError:
             pass
@@ -159,17 +170,15 @@ def _hypothesis_gate(sys_, spec):
 
 
 def _solution_table(sys_, spec, w):
-    """Rows (digits, value, terms, estimate, converged, prefactor_exponent)
-    for every address with support <= max_support, padded-index order."""
+    """(sweep, prefactor_exponents) for every address with support <=
+    max_support, padded-index order."""
     N = spec.max_support
     d = sys_.d
     kwargs = dict(tol=spec.product_tolerance, n_cap=spec.n_cap,
                   root_tolerance=spec.root_tolerance)
     if abs(w - sys_.b) > W_NEAR_B:
         sweep = sweep_products(sys_, w, N, **kwargs)
-        pref = [""] * sweep.values.size
-        return sweep, sweep.values, sweep.terms_used, sweep.tail_estimate, \
-            sweep.converged, pref
+        return sweep, [""] * sweep.values.size
     # Degenerate anchor: index segment [d^(K-1), d^K) holds the addresses
     # with exactly N - K leading zeros; their values are a^(N-K) times the
     # ladder bases of the depth-K sweep, by the geometric ladder structure.
@@ -186,30 +195,12 @@ def _solution_table(sys_, spec, w):
         terms[lo:hi] = sw.terms_used
         est[lo:hi] = sw.tail_estimate
         conv[lo:hi] = sw.converged
-        exponent = str(N - K + 1)
-        for i in range(lo, hi):
-            pref[i] = exponent
-
-    class _Padded:
-        depth = N
-
-        @staticmethod
-        def indices():
-            return np.arange(size, dtype=np.int64)
-
-        @staticmethod
-        def digits_of(index):
-            digits = []
-            j = int(index)
-            for _ in range(N):
-                digits.append(j % d)
-                j //= d
-            digits.reverse()
-            while digits and digits[-1] == 0:
-                digits.pop()
-            return tuple(digits)
-
-    return _Padded, values, terms, est, conv, pref
+        pref[lo:hi] = [str(N - K + 1)] * (hi - lo)
+    support = _supports_from_indices(np.arange(size, dtype=np.int64), d, N)
+    sweep = BranchSweep(depth=N, d=d, anchor=w, offset=0, values=values,
+                        support=support, terms_used=terms, tail_estimate=est,
+                        converged=conv)
+    return sweep, pref
 
 
 def cmd_zeros(spec, args):
@@ -287,15 +278,16 @@ def cmd_invert(spec, args):
     all_ok = True
     worst_excess = None  # (excess, violation, budget) at the worst row
     for w in anchors:
-        table, values, terms, est, conv, pref = _solution_table(sys_, spec, w)
-        all_ok = all_ok and bool(np.all(conv))
+        sweep, pref = _solution_table(sys_, spec, w)
+        all_ok = all_ok and bool(np.all(sweep.converged))
         if args.verify:
-            violation, budget = _roundtrip_budget(sys_, spec, w, values, est)
+            violation, budget = _roundtrip_budget(sys_, spec, w, sweep.values,
+                                                  sweep.tail_estimate)
             j = int(np.argmax(violation - budget))
             excess = float(violation[j] - budget[j])
             if worst_excess is None or excess > worst_excess[0]:
                 worst_excess = (excess, float(violation[j]), float(budget[j]))
-        blocks.append((w, table, values, terms, est, conv, pref))
+        blocks.append((w, sweep, pref))
 
     verified_ok = worst_excess is None or worst_excess[0] <= 0.0
     header = ["sigma", "w_re", "w_im", "re", "im", "terms_used",
@@ -305,15 +297,16 @@ def cmd_invert(spec, args):
     with _Output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for w, table, values, terms, est, conv, pref in blocks:
-            for pos, idx in enumerate(table.indices()):
-                sigma = _sigma_string(table.digits_of(idx), sys_.d)
-                value = values[pos]
+        for w, sweep, pref in blocks:
+            for pos, idx in enumerate(sweep.indices()):
+                sigma = _sigma_string(sweep.digits_of(idx), sys_.d)
+                value = sweep.values[pos]
                 row = [sigma, _fmt(w.real), _fmt(w.imag),
                        _fmt(value.real), _fmt(value.imag),
-                       str(int(terms[pos])), _fmt(est[pos]), pref[pos]]
+                       str(int(sweep.terms_used[pos])),
+                       _fmt(sweep.tail_estimate[pos]), pref[pos]]
                 if not all_ok:
-                    row.append("true" if conv[pos] else "false")
+                    row.append("true" if sweep.converged[pos] else "false")
                 writer.writerow(row)
     if args.verify and not verified_ok:
         print(f"verification failed: worst |f(g) - w| = "
@@ -518,16 +511,15 @@ def _apply_overrides(spec, args):
         check_enumeration_size(spec.degree, args.max_support)
         spec = replace(spec, max_support=args.max_support)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ValidationError("product_tolerance must be positive")
-        spec = replace(spec, product_tolerance=args.tol)
+        spec = replace(spec, product_tolerance=check_tolerance(
+            args.tol, "product_tolerance"))
     return spec
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         spec = load_problem(args.problem)
         spec = _apply_overrides(spec, args)
         return args.func(spec, args)

@@ -16,6 +16,7 @@ to each other on valid inputs.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -50,7 +51,22 @@ class ProblemSpec:
 def _require_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json.loads accepts NaN, Infinity and -Infinity.
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite")
+    return number
+
+
+def check_tolerance(value, name):
+    """A finite, positive tolerance: a problem-file value or a --tol."""
+    value = _require_number(value, name)
+    if value <= 0:
+        raise ValidationError(f"{name} must be positive")
+    return value
 
 
 def _require_int(value, name):
@@ -110,16 +126,12 @@ def parse_problem(text):
     hint = _require_pair(data["fixed_point_hint"], "fixed_point_hint")
     max_support = _require_int(data["max_support"], "max_support")
     check_enumeration_size(len(coefficients) - 1, max_support)
-    product_tolerance = _require_number(data["product_tolerance"],
+    product_tolerance = check_tolerance(data["product_tolerance"],
                                         "product_tolerance")
-    if product_tolerance <= 0:
-        raise ValidationError("product_tolerance must be positive")
     n_cap = _require_int(data["n_cap"], "n_cap")
     if n_cap <= 0:
         raise ValidationError("n_cap must be positive")
-    root_tolerance = _require_number(data["root_tolerance"], "root_tolerance")
-    if root_tolerance <= 0:
-        raise ValidationError("root_tolerance must be positive")
+    root_tolerance = check_tolerance(data["root_tolerance"], "root_tolerance")
 
     return ProblemSpec(
         coefficients=coefficients,

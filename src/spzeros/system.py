@@ -130,23 +130,56 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
 
 
 def _iterate_from_scaled(sys, z, n, dV):
-    """b + (V composed n times)(a^-n z) and its noise amplification.
+    """b + (V composed n times)(a^-n z), its noise amplification and slope.
 
     Iterating the conjugate V on the deviation avoids absorbing a^-n z into
     the floating point granularity of b, which would otherwise amplify into
     an O(|a|^n eps) error. The second return value is |a^-n z| times the
     chain derivative product along the orbit; times NOISE_EPS it is the
-    absolute accuracy floor of the composition. Returns (None, None) on
-    overflow.
+    absolute accuracy floor of the composition. The third is the derivative
+    of the composition at z, the chain product a^-n prod V'(v_k). Returns
+    (None, None, None) on overflow.
     """
-    v = sys.a ** (-n) * z
+    scale = sys.a ** (-n)
+    v = scale * z
     damp = abs(v)
+    slope = scale
     for _ in range(n):
-        damp *= abs(dV.eval(v))
+        dv = dV.eval(v)
+        damp *= abs(dv)
+        slope *= dv
         v = sys.V.eval(v)
         if abs(v) > OVERFLOW_LIMIT:
-            return None, None
-    return sys.b + v, damp
+            return None, None, None
+    return sys.b + v, damp, slope
+
+
+def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
+    """eval_f_direct's value and f'(z), taken at the depth where the value
+    converged."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite evaluation point")
+    az = abs(z)
+    dV = sys.V.derivative()
+    n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
+    prev, _, _ = _iterate_from_scaled(sys, z, n, dV)
+    if prev is None:
+        raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
+    cur, gap = prev, math.inf
+    while n + DEPTH_STEP <= n_max:
+        n += DEPTH_STEP
+        cur, damp, slope = _iterate_from_scaled(sys, z, n, dV)
+        if cur is None:
+            raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
+        gap = abs(cur - prev)
+        if gap <= tol * max(1.0, abs(cur)) + NOISE_EPS * damp:
+            return cur, slope
+        prev = cur
+    raise NonConvergence(
+        f"direct evaluation still moving at depth cap {n_max} for z = {z}",
+        last=cur, previous=prev, gap=gap,
+    )
 
 
 def eval_f_direct(sys, z, tol=1e-12, n_max=200):
@@ -163,29 +196,7 @@ def eval_f_direct(sys, z, tol=1e-12, n_max=200):
         If the depth cap is reached, or the orbit overflows; the exception
         carries the last two values and their gap.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError("non-finite evaluation point")
-    az = abs(z)
-    dV = sys.V.derivative()
-    n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
-    prev, _ = _iterate_from_scaled(sys, z, n, dV)
-    if prev is None:
-        raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
-    cur, gap = prev, math.inf
-    while n + DEPTH_STEP <= n_max:
-        n += DEPTH_STEP
-        cur, damp = _iterate_from_scaled(sys, z, n, dV)
-        if cur is None:
-            raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
-        gap = abs(cur - prev)
-        if gap <= tol * max(1.0, abs(cur)) + NOISE_EPS * damp:
-            return cur
-        prev = cur
-    raise NonConvergence(
-        f"direct evaluation still moving at depth cap {n_max} for z = {z}",
-        last=cur, previous=prev, gap=gap,
-    )
+    return _eval_f_with_slope(sys, z, tol, n_max)[0]
 
 
 def eval_f_batch(sys, z, tol=1e-12, n_max=200):

@@ -175,15 +175,19 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
             claimed_budget=anchored.tail_bound + ladder.tail_bound,
         ))
 
+    # One eval_f_batch call over every anchor's solutions: its cost is
+    # mostly per call, not per point.
+    anchors = [complex(z) for z in samples if abs(complex(z) - sys.b) > 1e-9]
+    solutions = [sweep_products(sys, w, roundtrip_support, tol=tol,
+                                n_cap=n_cap,
+                                root_tolerance=root_tolerance).values
+                 for w in anchors]
     roundtrips = []
-    for z in samples:
-        w = complex(z)
-        if abs(w - sys.b) <= 1e-9:
-            continue
-        sweep = sweep_products(sys, w, roundtrip_support, tol=tol,
-                               n_cap=n_cap, root_tolerance=root_tolerance)
-        back = eval_f_batch(sys, sweep.values, tol=tol)
-        roundtrips.append((w, float(np.max(np.abs(back - w)))))
+    if anchors:
+        back = eval_f_batch(sys, np.concatenate(solutions), tol=tol)
+        ends = np.cumsum([s.size for s in solutions])[:-1]
+        roundtrips = [(w, float(np.max(np.abs(part - w))))
+                      for w, part in zip(anchors, np.split(back, ends))]
 
     return CrossCheckReport(
         rows=tuple(rows),

@@ -248,3 +248,54 @@ def test_eval_agrees_with_product_zero():
     for sys in (chebyshev_system(), golden_system()):
         z0 = zero_product(sys, SigmaSequence((1,)), tol=1e-13).value
         assert abs(eval_f_direct(sys, z0)) <= 1e-8
+
+
+# Oracle tests for the scalar API: Chebyshev closed forms, not the sweep.
+# f(z) = cos(sqrt(-2z)) solves f(z) = w exactly at z = -(+-acos w + 2 pi k)^2/2.
+
+
+def test_zero_product_chebyshev_oracle_support_six():
+    sys = chebyshev_system()
+    ks = []
+    for sigma in enumerate_sigma(2, 6):
+        got = zero_product(sys, sigma).value
+        k = round((math.sqrt(-8 * got.real) / math.pi - 1) / 2)
+        want = -((2 * k + 1) * math.pi) ** 2 / 8
+        assert abs(got - want) <= 1e-12 * abs(want), (sigma, got, want)
+        ks.append(k)
+    assert sorted(ks) == list(range(64))
+
+
+@pytest.mark.parametrize("w", [-0.5, 0.3 + 0.2j, 5 - 2j])
+def test_inverse_branch_chebyshev_oracle_support_four(w):
+    sys = chebyshev_system()
+    root = np.arccos(complex(w))
+    exact = [-(s * root + 2 * math.pi * k) ** 2 / 2
+             for k in range(-20, 21) for s in (1, -1)]
+    matched = set()
+    for sigma in enumerate_sigma(2, 4):
+        got = inverse_branch(sys, sigma, w).value
+        j = min(range(len(exact)), key=lambda i: abs(exact[i] - got))
+        assert abs(got - exact[j]) <= 1e-12 * abs(exact[j]), (sigma, got)
+        matched.add(j)
+    assert len(matched) == 16
+
+
+@pytest.mark.parametrize("w", [-0.5, 0.3 + 0.2j, 5 - 2j])
+def test_g0_and_derivative_chebyshev_oracle(w):
+    sys = chebyshev_system()
+    root = np.arccos(complex(w))
+    g, dg = g0_and_derivative(sys, w)
+    want_g = -root ** 2 / 2
+    want_dg = root / np.sqrt(1 - complex(w) ** 2)
+    assert abs(g - want_g) <= 1e-12 * abs(want_g)
+    assert abs(dg - want_dg) <= 1e-12 * abs(want_dg)
+
+
+def test_n_cap_counts_prefix_and_tail_factors():
+    sys = chebyshev_system()
+    for digits in ((1, 1), (0, 0, 1), ()):
+        used = zero_product(sys, digits).terms_used
+        assert zero_product(sys, digits, n_cap=used).terms_used == used
+        with pytest.raises(NonConvergence):
+            zero_product(sys, digits, n_cap=used - 1)

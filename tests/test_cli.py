@@ -237,6 +237,36 @@ def test_oversized_override_refused(capsys):
     assert "2^30" in err
 
 
+@pytest.mark.parametrize("args, edit", [
+    (["invert", "--w=nan"], None),
+    (["invert", "--w=inf"], None),
+    (["invert", "--circle", "inf,2"], None),
+    (["invert", "--circle", "nan,2"], None),
+    (["moments", "--w=1,nan"], None),
+    (["wh", "--z=nan"], None),
+    (["wh", "--z=1", "--anchor=nan"], None),
+    (["check", "--anchor=-inf"], None),
+    (["zeros", "--tol", "nan"], None),
+    (["zeros", "--tol", "inf"], None),
+    (["zeros"], ('"product_tolerance": 1e-12', '"product_tolerance": NaN')),
+    (["zeros"], ("[1.0, 0.0]", "[Infinity, 0]")),
+])
+def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
+    # Non-finite flags and problem-file values end in one error line and
+    # exit 1: no rows, no traceback.
+    problem = CHEB
+    if edit is not None:
+        text = Path(CHEB).read_text()
+        assert edit[0] in text
+        problem = tmp_path / "nonfinite.json"
+        problem.write_text(text.replace(*edit))
+    code, out, err = run_cli(
+        [args[0], str(problem), "--max-support", "2", *args[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_hypothesis_gate_exit_code(monkeypatch, capsys):
     import spzeros.cli as cli
 

@@ -130,6 +130,23 @@ def test_rejects_bad_tolerances_and_cap():
             parse_problem(text)
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"product_tolerance": 1e-12', '"product_tolerance": NaN'),
+    ('"product_tolerance": 1e-12', '"product_tolerance": Infinity'),
+    ('"root_tolerance": 1e-13', '"root_tolerance": Infinity'),
+    ('"root_tolerance": 1e-13', '"root_tolerance": 1' + "0" * 400),
+    ("[1.6, 0.0]", "[Infinity, 0]"),
+    ("[1.6, 0.0]", "[1.6, NaN]"),
+    ("[-1.0, 0.0], [0.0, 0.0]", "[-Infinity, 0.0], [0.0, 0.0]"),
+])
+def test_rejects_nonfinite_numbers(old, new):
+    # json.loads takes NaN and +-Infinity, and an integer literal past the
+    # float range; none of them is a usable problem value.
+    assert old in GOLDEN_TEXT
+    with pytest.raises(ValidationError, match="finite"):
+        parse_problem(GOLDEN_TEXT.replace(old, new))
+
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 

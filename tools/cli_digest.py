@@ -1,0 +1,61 @@
+"""Digest of the command-line tool's output on the shipped problems.
+
+Runs each subcommand on every problems/*.json at fixed small depths, once
+with SPZEROS_THREADS=1 and once with 2, each run in a fresh interpreter
+against this checkout's src/. Prints one line per run:
+
+    threads=<n> <arguments> exit=<code> stderr_lines=<n> sha256=<stdout's>
+
+Two checkouts whose digests are equal print the same bytes on every run,
+so diffing the digests of two commits shows whether a change kept the
+output. The count of stderr lines tells a one-line `error:` message from
+a traceback. The last three runs feed the CLI non-finite input. Usage,
+from any directory:
+
+    python3 tools/cli_digest.py > digest.txt
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Arguments after the problem path. The circle of radius 2 holds w = 2,
+# which is the fixed point b of cubic6.json, so the w = b ladder is covered.
+RUNS = (
+    ("zeros", "--max-support", "6"),
+    ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
+    ("invert", "--max-support", "4", "--circle", "2,5", "--verify"),
+    ("moments", "--max-support", "8", "--m", "1,2"),
+    ("wh", "--max-support", "8", "--z=-1.2,0.3", "--z", "2,1"),
+    ("check", "--max-support", "6"),
+    ("invert", "--max-support", "2", "--w=nan"),
+    ("wh", "--max-support", "2", "--z=inf"),
+    ("zeros", "--max-support", "2", "--tol", "nan"),
+)
+
+
+def main():
+    problems = sorted((ROOT / "problems").glob("*.json"))
+    for threads in ("1", "2"):
+        env = dict(os.environ, SPZEROS_THREADS=threads,
+                   PYTHONPATH=str(ROOT / "src"))
+        for command, *rest in RUNS:
+            for problem in problems:
+                argv = [command, str(problem.relative_to(ROOT)), *rest]
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spzeros", *argv], cwd=ROOT,
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    check=False)
+                digest = hashlib.sha256(proc.stdout).hexdigest()
+                print(f"threads={threads} {' '.join(argv)} "
+                      f"exit={proc.returncode} "
+                      f"stderr_lines={len(proc.stderr.splitlines())} "
+                      f"sha256={digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
