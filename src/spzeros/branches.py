@@ -611,14 +611,14 @@ def g0_and_derivative(sys, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
 
     g_0(w) is the product of the empty address. Its derivative is
     1 / f'(g_0(w)), with f' the chain product a^-n prod V'(v_k) of the
-    direct evaluator; at w = b both are exact: (0, 1).
+    evaluator of f; at w = b both are exact: (0, 1).
     """
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         return 0j, 1.0 + 0j
     g = _address_product(sys, (), w - sys.b, tol, n_cap, root_tolerance,
                          "g0").value
-    slope = _eval_f_with_slope(sys, g, tol=tol)[1]
+    slope = complex(_eval_f_with_slope(sys, g, tol=tol)[1])
     if slope == 0:
         raise ZeroDenominator("g0: f' vanishes at g0(w)")
     return g, 1.0 / slope

@@ -8,10 +8,8 @@ class SPZerosError(Exception):
 class NonConvergence(SPZerosError):
     """An iteration hit its cap before reaching the requested tolerance."""
 
-    def __init__(self, message, last=None, previous=None, gap=None):
+    def __init__(self, message, gap=None):
         super().__init__(message)
-        self.last = last
-        self.previous = previous
         self.gap = gap
 
 

@@ -2,8 +2,10 @@
 
 A system packages the polynomial P, its fixed point b with multiplier
 a = P'(b) (|a| > 1), and the quotient Q(z) = (P(z) - b)/(z - b). The entire
-solution f is normalized by f(0) = b, f'(0) = 1 and can be evaluated directly
-as the limit of P composed n times with itself applied to b + a^-n z.
+solution f is normalized by f(0) = b, f'(0) = 1. One evaluator computes f
+and f' as the limit of b + V^n(a^-n z), V being P conjugated to b, carried
+in double-double arithmetic; eval_f_batch and eval_f_direct return its
+values for many points and for one.
 """
 
 import cmath
@@ -23,14 +25,10 @@ from .errors import (
 from .poly import ComplexPolynomial, all_roots, q_polynomial
 
 FIXED_POINT_TOLERANCE = 1e-12
-# Direct evaluation: iterate depth grows in steps of this size until two
+# Evaluation of f: iterate depth grows in steps of this size until two
 # consecutive depths agree.
 DEPTH_STEP = 5
 OVERFLOW_LIMIT = 1e150
-# Absolute accuracy floor of a deep composition: the seed rounding eps |v_0|
-# is amplified by the chain derivative product, so agreement below
-# NOISE_EPS * that amplification cannot be demanded in doubles.
-NOISE_EPS = 16 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -129,112 +127,80 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
     return SPSystem(P=P, b=complex(b), a=complex(a), d=d, Q=Q, V=V, rho=rho)
 
 
-def _iterate_from_scaled(sys, z, n, dV):
-    """b + (V composed n times)(a^-n z), its noise amplification and slope.
-
-    Iterating the conjugate V on the deviation avoids absorbing a^-n z into
-    the floating point granularity of b, which would otherwise amplify into
-    an O(|a|^n eps) error. The second return value is |a^-n z| times the
-    chain derivative product along the orbit; times NOISE_EPS it is the
-    absolute accuracy floor of the composition. The third is the derivative
-    of the composition at z, the chain product a^-n prod V'(v_k). Returns
-    (None, None, None) on overflow.
-    """
-    scale = sys.a ** (-n)
-    v = scale * z
-    damp = abs(v)
-    slope = scale
-    for _ in range(n):
-        dv = dV.eval(v)
-        damp *= abs(dv)
-        slope *= dv
-        v = sys.V.eval(v)
-        if abs(v) > OVERFLOW_LIMIT:
-            return None, None, None
-    return sys.b + v, damp, slope
-
-
 def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
-    """eval_f_direct's value and f'(z), taken at the depth where the value
-    converged."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError("non-finite evaluation point")
-    az = abs(z)
-    dV = sys.V.derivative()
-    n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
-    prev, _, _ = _iterate_from_scaled(sys, z, n, dV)
-    if prev is None:
-        raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
-    cur, gap = prev, math.inf
-    while n + DEPTH_STEP <= n_max:
-        n += DEPTH_STEP
-        cur, damp, slope = _iterate_from_scaled(sys, z, n, dV)
-        if cur is None:
-            raise NonConvergence(f"orbit overflow at depth {n} for z = {z}")
-        gap = abs(cur - prev)
-        if gap <= tol * max(1.0, abs(cur)) + NOISE_EPS * damp:
-            return cur, slope
-        prev = cur
-    raise NonConvergence(
-        f"direct evaluation still moving at depth cap {n_max} for z = {z}",
-        last=cur, previous=prev, gap=gap,
-    )
+    """f and f' over an ndarray of points, at a shared depth.
 
-
-def eval_f_direct(sys, z, tol=1e-12, n_max=200):
-    """Evaluate the entire solution f at z by deep self-composition.
-
-    The depth starts at ceil(log_|a| |z|) + 10 and grows by DEPTH_STEP until
-    two consecutive depths agree within tol (relative to max(1, |f|)) plus
-    the absolute noise floor of the composition, which for large |z| caps
-    what doubles can resolve at roughly eps |z| |f'(z)|.
+    f(z) is the limit of b + V^n(a^-n z). The orbit v_k is carried in
+    double-double arithmetic, so the values do not suffer the noise floor a
+    plain-double composition has at large |z| (eps |z| |f'(z)|): accuracy
+    is limited by tol and the final rounding alone even at points of size
+    1e7 and beyond. f'(z) is the chain product a^-n prod V'(v_k) along the
+    same orbit, taken in doubles as prod (V'(v_k) / a) so that no partial
+    product underflows. The depth starts at ceil(log_|a| max |z|) + 10 and
+    grows by DEPTH_STEP until two consecutive depths agree within tol
+    (relative to max(1, |f|)) at every point; both results come from the
+    deeper of the two.
 
     Raises
     ------
+    ValueError
+        If a point is not finite.
     NonConvergence
-        If the depth cap is reached, or the orbit overflows; the exception
-        carries the last two values and their gap.
-    """
-    return _eval_f_with_slope(sys, z, tol, n_max)[0]
-
-
-def eval_f_batch(sys, z, tol=1e-12, n_max=200):
-    """Vectorized eval_f_direct over an ndarray of points (shared depth).
-
-    The composition is carried in double-double arithmetic, so the returned
-    values do not suffer the plain-double noise floor of the scalar route:
-    accuracy is limited by tol and the final rounding alone even at points
-    of size 1e7 and beyond.
+        If the depth cap is reached (the exception carries the worst
+        relative gap), or the orbit overflows.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.size == 0:
-        return z.copy()
+        return z.copy(), z.copy()
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite evaluation point")
     az = float(np.max(np.abs(z)))
     coeffs = sys.V.coefficients
+    dV = sys.V.derivative()
     n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
 
-    def run(depth):
+    def run(depth, with_slope=True):
         v = dd.cdd_div_exact_by(z, dd.cdd_power(sys.a, depth))
+        slope = np.ones_like(z)
         for _ in range(depth):
+            if with_slope:
+                slope = slope * (dV.eval_array(dd.cdd_collapse(v)) / sys.a)
             v = dd.cdd_horner(coeffs, v)
             if not np.all(np.abs(v[0]) + np.abs(v[2]) <= OVERFLOW_LIMIT):
                 raise NonConvergence(f"orbit overflow at depth {depth}")
-        return sys.b + dd.cdd_collapse(v)
+        return sys.b + dd.cdd_collapse(v), slope
 
-    prev = run(n)
+    prev, _ = run(n, with_slope=False)  # only the converged run's slope
     gap = math.inf
     while n + DEPTH_STEP <= n_max:
         n += DEPTH_STEP
-        cur = run(n)
+        cur, slope = run(n)
         if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
-            return cur
+            return cur, slope
         gap = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))))
         prev = cur
     raise NonConvergence(f"direct evaluation still moving at depth cap {n_max}",
                          gap=gap)
+
+
+def eval_f_direct(sys, z, tol=1e-12, n_max=200):
+    """Evaluate the entire solution f at one point z, as a complex.
+
+    A one-point call of eval_f_batch; see _eval_f_with_slope for the depth
+    rule and the errors raised. The double-double kernel is numpy-vectorized,
+    so a call costs about 10 ms for one Chebyshev point, about what it costs
+    for a hundred: evaluate many points with one eval_f_batch call.
+    """
+    return complex(eval_f_batch(sys, complex(z), tol, n_max))
+
+
+def eval_f_batch(sys, z, tol=1e-12, n_max=200):
+    """Evaluate the entire solution f over an ndarray of points.
+
+    The limit of b + V^n(a^-n z) in double-double arithmetic, at a depth
+    shared by all points; see _eval_f_with_slope, which also returns f'.
+    """
+    return _eval_f_with_slope(sys, z, tol, n_max)[0]
 
 
 def bell_polynomial(m, j, x):

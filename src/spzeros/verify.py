@@ -22,7 +22,7 @@ from .branches import sweep_products
 from .errors import AmbiguousClustering
 from .factor import wh_eval
 from .poly import ComplexPolynomial
-from .system import build_system, eval_f_batch, eval_f_direct
+from .system import build_system, eval_f_batch
 
 
 def chebyshev_system():
@@ -157,10 +157,24 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
     support <= roundtrip_support, and confirms f(g_sigma(w)) = w by direct
     iteration.
     """
+    samples = [complex(z) for z in samples]
+    anchors = [z for z in samples if abs(z - sys.b) > 1e-9]
+    solutions = [sweep_products(sys, w, roundtrip_support, tol=tol,
+                                n_cap=n_cap,
+                                root_tolerance=root_tolerance).values
+                 for w in anchors]
+    # One eval_f_batch call for the direct route at every sample and every
+    # anchor's round trip: its cost is mostly per call, not per point.
+    points = np.concatenate([np.array(samples, dtype=np.complex128),
+                             *solutions])
+    ends = np.cumsum([len(samples)] + [s.size for s in solutions])[:-1]
+    limits, *back = np.split(eval_f_batch(sys, points, tol=tol), ends)
+    roundtrips = [(w, float(np.max(np.abs(part - w))))
+                  for w, part in zip(anchors, back)]
+
     rows = []
-    for z in samples:
-        z = complex(z)
-        direct = eval_f_direct(sys, z, tol=tol)
+    for z, direct in zip(samples, limits):
+        direct = complex(direct)
         anchored = wh_eval(sys, z, anchor, max_support, tol=tol,
                            n_cap=n_cap, root_tolerance=root_tolerance)
         ladder = wh_eval(sys, z, sys.b, max_support, tol=tol,
@@ -174,20 +188,6 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
             max_deviation=deviation,
             claimed_budget=anchored.tail_bound + ladder.tail_bound,
         ))
-
-    # One eval_f_batch call over every anchor's solutions: its cost is
-    # mostly per call, not per point.
-    anchors = [complex(z) for z in samples if abs(complex(z) - sys.b) > 1e-9]
-    solutions = [sweep_products(sys, w, roundtrip_support, tol=tol,
-                                n_cap=n_cap,
-                                root_tolerance=root_tolerance).values
-                 for w in anchors]
-    roundtrips = []
-    if anchors:
-        back = eval_f_batch(sys, np.concatenate(solutions), tol=tol)
-        ends = np.cumsum([s.size for s in solutions])[:-1]
-        roundtrips = [(w, float(np.max(np.abs(part - w))))
-                      for w, part in zip(anchors, np.split(back, ends))]
 
     return CrossCheckReport(
         rows=tuple(rows),

@@ -130,12 +130,13 @@ def test_invert_verify_full_depth_cubic(capsys):
 
 def test_invert_verify_flags_broken_roundtrip(capsys, monkeypatch):
     from spzeros import cli
-    real = cli.eval_f_batch
+    real = cli._eval_f_with_slope
 
     def shifted(sys_, values, **kwargs):
-        return real(sys_, values, **kwargs) + 1e-3
+        back, slope = real(sys_, values, **kwargs)
+        return back + 1e-3, slope
 
-    monkeypatch.setattr(cli, "eval_f_batch", shifted)
+    monkeypatch.setattr(cli, "_eval_f_with_slope", shifted)
     code, _, err = run_cli(
         ["invert", GOLD, "--max-support", "2", "--w", "0,0", "--verify"],
         capsys)
@@ -265,6 +266,30 @@ def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("args", [
+    ["invert", CHEB, "--w=1,2,3"],
+    ["invert", CHEB, "--circle", "0,3"],
+    ["invert", CHEB, "--max-support", "x"],
+    ["moments", CHEB, "--m", "0"],
+    ["frobnicate", CHEB],
+    ["zeros"],
+])
+def test_usage_error_exit_code(args, capsys):
+    # A usage error is bad input: one error line and exit 1, not argparse's
+    # usage text and exit 2, the code of a numerical failure.
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--help"])
+    assert exc.value.code == 0
+    assert "--verify" in capsys.readouterr().out
 
 
 def test_hypothesis_gate_exit_code(monkeypatch, capsys):

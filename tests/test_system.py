@@ -1,4 +1,4 @@
-"""System construction, Taylor recursion, and the two evaluators."""
+"""System construction, Taylor recursion, and the evaluator of f."""
 
 import math
 from fractions import Fraction
@@ -17,6 +17,8 @@ from spzeros import (
     eval_f_direct,
     taylor_at_zero,
 )
+from spzeros.branches import sweep_products
+from spzeros.system import _eval_f_with_slope
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
 from spzeros import dd
 
@@ -173,6 +175,52 @@ def test_eval_f_normalization():
         h = 1e-6
         fd = (eval_f_direct(sys, h) - eval_f_direct(sys, -h)) / (2 * h)
         assert abs(fd - 1.0) <= 1e-8
+
+
+def _chebyshev_exact(z):
+    """cos(s) and sin(s)/s at s = sqrt(-2z), to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = mpmath.sqrt(-2 * mpmath.mpc(complex(z)))
+        return complex(mpmath.cos(s)), complex(mpmath.sin(s) / s)
+
+
+def test_value_and_slope_match_chebyshev_oracle():
+    # f(z) = cos(sqrt(-2z)) and f'(z) = sin(s)/s, at random points and at
+    # the zeros a depth-8 sweep finds (|z| up to about 3.2e5).
+    sys = chebyshev_system()
+    rng = np.random.default_rng(47)
+    z = rng.normal(size=40) + 1j * rng.normal(size=40)
+    z *= rng.uniform(0, 10, size=40) / np.abs(z)
+    zeros = sweep_products(sys, 0j, 8).values
+    for pts in (z, zeros):
+        values, slopes = _eval_f_with_slope(sys, pts)
+        for zi, fi, dfi in zip(pts, values, slopes):
+            f, df = _chebyshev_exact(zi)
+            assert abs(fi - f) <= 1e-12 * max(1.0, abs(f)), zi
+            assert abs(dfi - df) <= 1e-12 * abs(df), zi
+
+
+@pytest.mark.parametrize("z", [-1e7, -1e9, -1e11])
+def test_eval_f_direct_accurate_at_large_argument(z):
+    # The orbit is carried in double-double, so a one-point call keeps full
+    # accuracy where a plain-double composition's noise floor
+    # eps |z| |f'(z)| is 5e-13 to 5e-11.
+    want, _ = _chebyshev_exact(z)
+    assert abs(eval_f_direct(chebyshev_system(), z) - want) <= 1e-14
+
+
+def test_slope_satisfies_differentiated_functional_equation():
+    # d/dz of f(az) = P(f(z)): a f'(az) = P'(f(z)) f'(z).
+    rng = np.random.default_rng(53)
+    for sys in (golden_system(), cubic_system()):
+        z = rng.normal(size=20) + 1j * rng.normal(size=20)
+        z *= rng.uniform(0, 1, size=20) / np.abs(z)
+        f, df = _eval_f_with_slope(sys, z)
+        _, df_az = _eval_f_with_slope(sys, sys.a * z)
+        lhs = sys.a * df_az
+        rhs = sys.P.derivative().eval_array(f) * df
+        assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
 
 
 def test_functional_equation_small_disc():
