@@ -19,16 +19,19 @@ Q(u_n) = (u_{n-1} - b) / (u_n - b), the partial products collapse to
 
     (w - b) * prod_{n<=k} a / Q(u_n) = a^k (u_k - b),
 
-so every node tracks its deviation v = u - b as the primary quantity:
-principal steps update v <- v / Q(u) (well conditioned, since an orbit can
-only approach a root of Q when its parent is near b, where Q is evaluated
-near b instead), and nonzero-digit steps reset v = u - b at an O(1)
-distance. Direct evaluation of Q at a point close to one of its roots, which
-loses half the digits to cancellation exactly at the largest solutions,
-never happens. Deep in the contraction ball the principal step inverts the
-conjugate polynomial V(v) = P(b + v) - b by Newton iteration on deviations,
-which needs no root finding and keeps the relative error of v at the
-rounding level no matter how small v gets.
+so every node tracks its deviation v = u - b as the primary quantity.
+Nonzero-digit steps reset v = u - b at an O(1) distance. Principal steps
+never form u - b near b, where it would lose digits to cancellation. In
+the digit prefix they update v <- v / Q(u), with the principal root u of
+the root solver (well conditioned, since an orbit can only approach a root
+of Q when its parent is near b, where Q is evaluated near b instead).
+Direct evaluation of Q at a point close to one of its roots, which loses
+half the digits to cancellation exactly at the largest solutions, never
+happens. In the tail, _principal_step inverts the conjugate polynomial
+V(v) = P(b + v) - b by a checked Newton iteration on deviations inside
+half the contraction ball, which needs no root finding and keeps the
+relative error of v at the rounding level no matter how small v gets;
+beyond it, or where Newton fails its check, it takes the same v / Q(u).
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
@@ -54,7 +57,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
 )
-from .poly import all_roots, roots_batch
+from .poly import roots_batch
 from .system import _eval_f_with_slope
 
 # |w - b| at or below this routes through the degenerate-anchor construction.
@@ -66,6 +69,10 @@ REGION_STREAK = 3
 # sampling DELTA_CIRCLE points per circle against the midpoint ratio.
 DELTA_MAX_K = 40
 DELTA_CIRCLE = 32
+# Newton on V inside delta/2: at most NEWTON_CAP steps, stopping once the
+# residual is within NEWTON_RESIDUAL |v|, a few roundings of V(x).
+NEWTON_CAP = 12
+NEWTON_RESIDUAL = 8e-16
 # Batched sweeps expand the address tree in subtree chunks of at most this
 # many leaves; chunk boundaries are fixed so thread count cannot reorder work.
 CHUNK_LEAVES = 1 << 16
@@ -218,94 +225,48 @@ def contraction_delta(sys):
     )
 
 
-def _coeff_scale(sys):
-    return max(1.0, max(abs(c) for c in sys.P.coefficients))
+def _conjugate_newton(sys, v, dV):
+    """Newton on V for the principal preimage of every deviation in v.
 
-
-@lru_cache(maxsize=64)
-def _deep_radius(sys):
-    """Radius below which deviations are stepped by Newton on V directly.
-
-    Certifies, by halving, an r with (i) the nonlinear part of V' bounded by
-    |a|/8 on |v| <= r, (ii) a crude Newton-Kantorovich bound for starting at
-    v/a, and (iii) enough clearance from the contraction boundary and from
-    the nonprincipal preimages of b. Returns 0.0 when certification fails,
-    which simply keeps every step on the root-finding path.
+    Solves V(x) = v from x = v / a, stepping the whole array until every
+    residual |V(x) - v| is within NEWTON_RESIDUAL |v|, at most NEWTON_CAP
+    times. Returns (x, bad): a point is bad when its residual is still above
+    that floor at the cap, or when |x| > |v|, since the principal step must
+    not move away from b.
     """
-    a_abs = abs(sys.a)
-    c = [abs(v) for v in sys.V.coefficients]  # c[0] = 0, c[1] = |a|
-    degree = sys.V.degree
-    rsep = min(abs(r - sys.b) for r in all_roots(sys.Q, sys.b))
-    r = min(0.5 * contraction_delta(sys), 0.25 * rsep, 1.0)
-    for _ in range(80):
-        slope = sum(j * c[j] * r ** (j - 1) for j in range(2, degree + 1))
-        resid = sum(c[j] * r ** j for j in range(2, degree + 1))
-        curv = sum(j * (j - 1) * c[j] * r ** (j - 2)
-                   for j in range(2, degree + 1))
-        if slope <= a_abs / 8.0 and 2.0 * resid * curv <= (7.0 * a_abs / 8.0) ** 2:
-            return r
-        r *= 0.5
-    return 0.0
-
-
-def _conjugate_newton(sys, v_target, dV):
-    """Principal inverse step on deviations: solve V(x) = v_target, x near
-    v_target / a. Only valid inside the certified _deep_radius ball."""
-    x = v_target / sys.a
-    floor = 8e-16 * np.abs(v_target)
-    for _ in range(4):
-        res = sys.V.eval_array(x) - v_target
-        if np.all(np.abs(res) <= floor):
+    x = v / sys.a
+    mag = np.abs(v)
+    floor = NEWTON_RESIDUAL * mag
+    # Written as "not within" so that a NaN counts as above the floor.
+    for _ in range(NEWTON_CAP):
+        res = sys.V.eval_array(x) - v
+        above = ~(np.abs(res) <= floor)
+        if not above.any():
             break
         d = dV.eval_array(x)
-        d = np.where(np.abs(d) == 0.0, 1e-300, d)
-        x = x - res / d
-    return x
+        x = x - res / np.where(d == 0, 1e-300, d)
+    else:
+        above = ~(np.abs(sys.V.eval_array(x) - v) <= floor)
+    return x, above | ~(np.abs(x) <= mag)
 
 
-def _principal_step(sys, u, root_tolerance, delta):
-    """One principal-branch step on an array of points.
+def _principal_step(sys, v, root_tolerance, delta, dV):
+    """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
-    Points already deep inside the contraction ball take a warm-started
-    Newton iteration (the linearization b + (u - b)/a starts inside the
-    quadratic basin); everything else, and any Newton failure, falls back to
-    the full simultaneous root solve.
+    Deviations inside delta/2 take _conjugate_newton. The rest, and every
+    point it flags bad, take the principal root u of the root solver and
+    the quotient v / Q(u), which keeps the rounding error relative to v
+    where u - b would lose digits to cancellation.
     """
-    out = np.empty_like(u)
-    dist = np.abs(u - sys.b)
-    near = dist < 0.5 * delta
-    far = ~near
+    out = np.empty_like(v)
+    near = np.abs(v) < 0.5 * delta
+    solve = ~near
     if near.any():
-        target = u[near]
-        z = sys.b + (target - sys.b) / sys.a
-        thresh = root_tolerance * np.maximum(
-            np.maximum(1.0, np.abs(target)), _coeff_scale(sys)
-        )
-        dP = sys.P.derivative()
-        live = np.arange(z.size)
-        for _ in range(12):
-            res = sys.P.eval_array(z[live]) - target[live]
-            ok = np.abs(res) <= thresh[live]
-            live = live[~ok]
-            if live.size == 0:
-                break
-            deriv = dP.eval_array(z[live])
-            deriv = np.where(np.abs(deriv) == 0.0, 1e-300, deriv)
-            z[live] = z[live] - (sys.P.eval_array(z[live]) - target[live]) / deriv
-        # One unconditional polish step: quadratic convergence takes the
-        # position error from the residual threshold down to rounding level.
-        deriv = dP.eval_array(z)
-        deriv = np.where(np.abs(deriv) == 0.0, 1e-300, deriv)
-        z = z - (sys.P.eval_array(z) - target) / deriv
-        bad = np.zeros(z.size, dtype=bool)
-        bad[live] = True
-        # Contraction sanity: the step must not move away from b.
-        bad |= np.abs(z - sys.b) > dist[near]
-        if bad.any():
-            z[bad] = labels_batch(sys, target[bad], root_tolerance)[:, 0]
-        out[near] = z
-    if far.any():
-        out[far] = labels_batch(sys, u[far], root_tolerance)[:, 0]
+        out[near], bad = _conjugate_newton(sys, v[near], dV)
+        solve[np.flatnonzero(near)[bad]] = True
+    if solve.any():
+        u = labels_batch(sys, sys.b + v[solve], root_tolerance)[:, 0]
+        out[solve] = v[solve] / sys.Q.eval_array(u)
     return out
 
 
@@ -335,13 +296,11 @@ def _tail_products(sys, v, tol, n_cap, root_tolerance):
     REGION_STREAK consecutive steps inside the certified ball, and the
     geometric estimate |factor - 1| c / (1 - c) is itself at or below tol.
 
-    Deviations outside the deep radius step through the root finder with the
-    quotient update v / Q; inside it they step by Newton on the conjugate
-    polynomial, where the factor a v_next / v_prev carries only rounding
-    error.
+    Each step is one _principal_step on the deviations, and its factor is
+    a v_next / v_prev; inside delta/2, where most steps fall, both carry
+    only rounding error relative to v.
     """
     delta = contraction_delta(sys)
-    r_deep = _deep_radius(sys)
     dV = sys.V.derivative()
     a_abs = abs(sys.a)
     c_floor = 1.0 / a_abs
@@ -360,22 +319,8 @@ def _tail_products(sys, v, tol, n_cap, root_tolerance):
     last_est = np.full(size, np.inf)
 
     for k in range(1, n_cap + 1):
-        deep = np.abs(cur) < r_deep
-        nxt = np.empty_like(cur)
-        factor = np.empty_like(cur)
-        if deep.any():
-            x = _conjugate_newton(sys, cur[deep], dV)
-            nxt[deep] = x
-            factor[deep] = sys.a * x / cur[deep]
-        shallow = ~deep
-        if shallow.any():
-            stepped = _principal_step(sys, sys.b + cur[shallow],
-                                      root_tolerance, delta)
-            qv = sys.Q.eval_array(stepped)
-            if np.any(qv == 0):
-                raise ZeroDenominator("Q vanished along a principal tail orbit")
-            nxt[shallow] = cur[shallow] / qv
-            factor[shallow] = sys.a / qv
+        nxt = _principal_step(sys, cur, root_tolerance, delta, dV)
+        factor = sys.a * nxt / cur
         tail[work] *= factor
         dist = np.abs(nxt)
         streak = np.where(dist < delta, streak + 1, 0)
@@ -646,19 +591,20 @@ def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500,
     points = np.array(pts, dtype=np.complex128)
 
     delta = contraction_delta(sys)
+    dV = sys.V.derivative()
     steps = np.full(points.size, -1, dtype=np.int64)
     inside0 = np.abs(points - sys.b) < delta
     steps[inside0] = 0
     work = np.flatnonzero(~inside0)
-    u = points[work]
+    v = points[work] - sys.b
     for k in range(1, orbit_cap + 1):
         if work.size == 0:
             break
-        u = _principal_step(sys, u, root_tolerance, delta)
-        entered = np.abs(u - sys.b) < delta
+        v = _principal_step(sys, v, root_tolerance, delta, dV)
+        entered = np.abs(v) < delta
         steps[work[entered]] = k
         work = work[~entered]
-        u = u[~entered]
+        v = v[~entered]
 
     converged = steps >= 0
     n_conv = int(converged.sum())

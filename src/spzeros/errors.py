@@ -30,15 +30,26 @@ class DegreeTooLow(SPZerosError):
 
 
 class InvalidIndices(SPZerosError):
-    """Bell polynomial indices out of range or argument list too short."""
+    """Bell polynomial indices out of range or argument list too short.
+
+    Also raised for an address digit at or above the degree d.
+    """
 
 
 class ZeroDenominator(SPZerosError):
-    """Q vanished along an inverse orbit; input system is corrupted."""
+    """Q vanished along an inverse orbit; input system is corrupted.
+
+    Raised while expanding the address tree, and by g0_and_derivative when
+    f' vanishes at g_0(w).
+    """
 
 
 class BasinEscape(SPZerosError):
-    """A principal-branch orbit failed to approach the fixed point."""
+    """A principal-branch orbit failed to approach the fixed point.
+
+    Nothing raises it any more; the name stays exported for callers that
+    catch it.
+    """
 
 
 class DivergentTail(SPZerosError):

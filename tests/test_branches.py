@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from spzeros import (
+    ComplexPolynomial,
     InvalidIndices,
     NonConvergence,
     SigmaSequence,
     ValidationError,
     branch_labels,
+    build_system,
     check_hypothesis1,
     contraction_delta,
     enumerate_sigma,
@@ -24,7 +26,8 @@ from spzeros import (
     sweep_solutions_at_b,
     zero_product,
 )
-from spzeros.branches import thread_limit
+from spzeros import branches
+from spzeros.branches import labels_batch, thread_limit
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
 
 # First zero of the golden-ratio system, frozen from a 50-digit
@@ -299,3 +302,98 @@ def test_n_cap_counts_prefix_and_tail_factors():
         assert zero_product(sys, digits, n_cap=used).terms_used == used
         with pytest.raises(NonConvergence):
             zero_product(sys, digits, n_cap=used - 1)
+
+
+# The principal step against an independent reference: b and the Taylor
+# coefficients of V(x) = P(b + x) - b are rebuilt at 30 digits from P and
+# the fixed-point hint alone, and V(x) = v is solved there by Newton.
+STEP_SYSTEMS = (
+    ((-1, 0, 2), 1.0),
+    ((-1, 0, 1), 1.6),
+    ((-6, 0, 0, 1), 2.0),
+    ((-1 + 0.2j, 0, 0.3, 0, 1), 1.5),  # complex a
+)
+
+
+def _reference_inverse(coeffs, hint, vs):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c = [mpmath.mpc(complex(x)) for x in coeffs]
+        fixed = c[:]
+        fixed[1] -= 1
+        roots = mpmath.polyroots(fixed[::-1], maxsteps=200, extraprec=60)
+        b = min(roots, key=lambda r: abs(r - hint))
+        deg = len(c) - 1
+        vc = [mpmath.mpc(0)] + [
+            sum(c[i] * mpmath.binomial(i, j) * b ** (i - j)
+                for i in range(j, deg + 1))
+            for j in range(1, deg + 1)]
+        dvc = [j * vc[j] for j in range(1, deg + 1)]
+        out = []
+        for v in vs:
+            v = mpmath.mpc(complex(v))
+            x = v / vc[1]
+            for _ in range(100):
+                step = (mpmath.polyval(vc[::-1], x) - v) / mpmath.polyval(
+                    dvc[::-1], x)
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -28 * abs(x):
+                    break
+            out.append(complex(x))
+    return np.array(out)
+
+
+def _log_spread_deviations(rng, count, top):
+    mag = 10.0 ** rng.uniform(-300.0, math.log10(top), count)
+    return mag * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+@pytest.mark.parametrize("coeffs,hint", STEP_SYSTEMS)
+def test_principal_step_matches_reference_newton(coeffs, hint):
+    sys = build_system(ComplexPolynomial(coeffs), hint)
+    delta = contraction_delta(sys)
+    dV = sys.V.derivative()
+    v = _log_spread_deviations(np.random.default_rng(71), 300, 0.49 * delta)
+    x = branches._principal_step(sys, v, 1e-13, delta, dV)
+    want = _reference_inverse(coeffs, hint, v)
+    assert np.all(np.abs(x) < np.abs(v))
+    assert np.all(np.abs(x - want) <= 1e-14 * np.abs(want))
+    _, bad = branches._conjugate_newton(sys, v, dV)
+    assert not bad.any()
+
+
+def _root_solver_route(sys, v):
+    u = labels_batch(sys, sys.b + v)[:, 0]
+    return v / sys.Q.eval_array(u)
+
+
+def _flag_every_point_bad(monkeypatch):
+    newton = branches._conjugate_newton
+    monkeypatch.setattr(branches, "_conjugate_newton", lambda s, v, d: (
+        newton(s, v, d)[0], np.ones(v.size, dtype=bool)))
+
+
+@pytest.mark.parametrize("coeffs,hint", STEP_SYSTEMS)
+def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
+    sys = build_system(ComplexPolynomial(coeffs), hint)
+    delta = contraction_delta(sys)
+    dV = sys.V.derivative()
+    rng = np.random.default_rng(72)
+    far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
+        2j * np.pi * rng.uniform(size=50))
+    assert np.array_equal(branches._principal_step(sys, far, 1e-13, delta, dV),
+                          _root_solver_route(sys, far))
+
+    _flag_every_point_bad(monkeypatch)
+    near = rng.uniform(0.0, 0.49 * delta, 50) * np.exp(
+        2j * np.pi * rng.uniform(size=50))
+    v = np.concatenate([near, far])
+    assert np.array_equal(branches._principal_step(sys, v, 1e-13, delta, dV),
+                          _root_solver_route(sys, v))
+
+
+def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):
+    # The fallback alone must still give the exact zeros: it keeps the
+    # rounding error relative to v where u - b would not.
+    _flag_every_point_bad(monkeypatch)
+    test_zero_product_chebyshev_oracle_support_six()
