@@ -21,17 +21,29 @@ Q(u_n) = (u_{n-1} - b) / (u_n - b), the partial products collapse to
 
 so every node tracks its deviation v = u - b as the primary quantity.
 Nonzero-digit steps reset v = u - b at an O(1) distance. Principal steps
-never form u - b near b, where it would lose digits to cancellation. In
-the digit prefix they update v <- v / Q(u), with the principal root u of
-the root solver (well conditioned, since an orbit can only approach a root
-of Q when its parent is near b, where Q is evaluated near b instead).
-Direct evaluation of Q at a point close to one of its roots, which loses
-half the digits to cancellation exactly at the largest solutions, never
-happens. In the tail, _principal_step inverts the conjugate polynomial
-V(v) = P(b + v) - b by a checked Newton iteration on deviations inside
-half the contraction ball, which needs no root finding and keeps the
-relative error of v at the rounding level no matter how small v gets;
-beyond it, or where Newton fails its check, it takes the same v / Q(u).
+never form u - b near b, where it would lose digits to cancellation.
+
+For unicritical P(z) = c_d (z - crit)^d + P(crit), which build_system
+detects, every inverse step has a closed form (_closed_children): the
+roots are crit + s with s^d = (v + kappa) / c_d, kappa = b - P(crit).
+Taking u - P(crit) as v + kappa keeps a passage through the critical value
+exact, so addresses that collapse onto a multiple zero agree to rounding.
+The principal child is t_b y / sum_{k<d} rho^k with y = v / kappa,
+rho^d = 1 + y and t_b = b - crit, which carries the relative accuracy of
+v down to the smallest doubles with no root solve and no Newton.
+
+Any other P solves P(z) = u by the Aberth root solver. In the digit prefix
+principal steps update v <- v / Q(u), with the principal root u (well
+conditioned, since an orbit can only approach a root of Q when its parent
+is near b, where Q is evaluated near b instead). Direct evaluation of Q at
+a point close to one of its roots, which loses half the digits to
+cancellation exactly at the largest solutions, never happens. In the
+tail, _principal_step inverts the conjugate polynomial V(v) = P(b + v) - b
+by a checked Newton iteration on deviations inside half the contraction
+ball, which keeps the relative error of v at the rounding level no matter
+how small v gets; beyond it, or where Newton fails its check, it takes the
+same v / Q(u). Both kinds of P order the branches of a step by one tie
+rule, _branch_order.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
@@ -174,23 +186,97 @@ def _run_ordered(tasks, workers):
         return list(pool.map(lambda task: task(), tasks))
 
 
+def _branch_order(rel):
+    """Column order of each row of inverse branches, rel = root - b.
+
+    The principal branch, nearest b, comes first: the lexicographic minimum
+    of (|rel|, arg rel, re, im), the lowest column on a full tie. The other
+    columns follow sorted by (arg rel, re, im). This is the one tie rule of
+    every inverse step.
+    """
+    n, d = rel.shape
+    keys = (np.abs(rel), np.angle(rel), rel.real, rel.imag)
+    first = np.zeros(n, dtype=np.intp)
+    for k in range(1, d):
+        best = [key[np.arange(n), first] for key in keys]
+        less = np.zeros(n, dtype=bool)
+        for key, top in zip(reversed(keys), reversed(best)):
+            col = key[:, k]
+            less = (col < top) | ((col == top) & less)
+        first = np.where(less, k, first)
+    first = first[:, None]
+    if d == 2:
+        return np.concatenate([first, 1 - first], axis=1)
+    by_angle = np.lexsort(keys[:0:-1], axis=-1)
+    rest = by_angle[by_angle != first].reshape(n, d - 1)
+    return np.concatenate([first, rest], axis=1)
+
+
+def _dth_roots(z, d, turns):
+    """d-th roots of every entry of z, one column per k in turns.
+
+    Column k is |z|^(1/d) (cos t + i sin t) with t = (arg z + 2 pi k) / d;
+    k = 0 is the principal root. For d = 2, k = 0 and 1 give +-sqrt(z)
+    exactly. The polar form is cheaper than complex powers, and for odd d
+    the turns -(d-1)/2 .. (d-1)/2 give exact conjugate pairs at real z.
+    """
+    if d == 2:
+        s = np.sqrt(z)
+        return np.stack([s if k == 0 else -s for k in turns], axis=1)
+    mag = np.abs(z)[:, None] ** (1.0 / d)
+    t = (np.angle(z)[:, None] + 2.0 * np.pi * np.asarray(turns)) / d
+    out = np.empty(t.shape, dtype=np.complex128)
+    out.real = mag * np.cos(t)
+    out.imag = mag * np.sin(t)
+    return out
+
+
+def _principal_quotient(sys, y, rho):
+    """P_0^{-1}(b + v) - b = t_b y / sum_{k<d} rho^k, with y = v / kappa.
+
+    rho = s / t_b is the root of rho^d = 1 + y that the principal branch
+    takes. Since rho^d - 1 = y, this is t_b (rho - 1) without the
+    cancellation of forming it near b; at the critical value, y = -1 and
+    rho = 0, it is exactly -t_b.
+    """
+    acc = rho + 1.0
+    for _ in range(sys.d - 2):
+        acc = acc * rho + 1.0
+    return sys.t_b * y / acc
+
+
+def _closed_children(sys, v):
+    """Deviations of every inverse branch of b + v for unicritical P.
+
+    The roots of P(z) = b + v are crit + s, s^d = (v + kappa) / c_d. Forming
+    u - P(crit) as v + kappa, never as (b + v) - P(crit), keeps the critical
+    value exact: there s = 0 and every child is the critical point. Columns
+    are in _branch_order, and the principal one is _principal_quotient.
+    """
+    d = sys.d
+    s = _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], d,
+                   range(-((d - 1) // 2), d // 2 + 1))
+    rel = s - sys.t_b
+    order = _branch_order(rel)
+    rel = np.take_along_axis(rel, order, axis=1)
+    s0 = np.take_along_axis(s, order[:, :1], axis=1)[:, 0]
+    rel[:, 0] = _principal_quotient(sys, v / sys.kappa, s0 / sys.t_b)
+    return rel
+
+
 def labels_batch(sys, w, root_tolerance=1e-13):
     """All inverse branches at each point, principal first.
 
-    Returns shape (B, d): column 0 is the root of P(z) = w nearest b (ties by
-    smaller principal argument of root - b, then lexicographic (re, im));
-    the remaining columns are sorted by that argument, same tie-break.
+    Returns shape (B, d) in _branch_order: column 0 is the root of P(z) = w
+    nearest b, the rest follow by the argument of root - b. Unicritical P
+    takes the closed form of _closed_children; any other P solves by
+    roots_batch to root_tolerance.
     """
     w = np.asarray(w, dtype=np.complex128)
+    if sys.crit is not None:
+        return sys.b + _closed_children(sys, w - sys.b)
     roots = roots_batch(sys.P, w, root_tolerance)
-    rel = roots - sys.b
-    dist = np.abs(rel)
-    ang = np.angle(rel)
-    by_dist = np.lexsort((rel.imag, rel.real, ang, dist), axis=-1)
-    principal = by_dist[:, :1]
-    by_angle = np.lexsort((rel.imag, rel.real, ang), axis=-1)
-    rest = by_angle[by_angle != principal].reshape(w.shape[0], sys.d - 1)
-    order = np.concatenate([principal, rest], axis=1)
+    order = _branch_order(roots - sys.b)
     return np.take_along_axis(roots, order, axis=1)
 
 
@@ -253,11 +339,26 @@ def _conjugate_newton(sys, v, dV):
 def _principal_step(sys, v, root_tolerance, delta, dV):
     """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
-    Deviations inside delta/2 take _conjugate_newton. The rest, and every
-    point it flags bad, take the principal root u of the root solver and
-    the quotient v / Q(u), which keeps the rounding error relative to v
-    where u - b would lose digits to cancellation.
+    Unicritical P takes the closed form. Where |y| = |v / kappa| < 1/2 the
+    principal root of 1 + y is the nearest one, with no tie possible, and
+    _principal_quotient keeps the relative accuracy of v down to the
+    smallest doubles; elsewhere the step is column 0 of _closed_children.
+
+    Any other P: deviations inside delta/2 take _conjugate_newton. The rest,
+    and every point it flags bad, take the principal root u of the root
+    solver and the quotient v / Q(u), which keeps the rounding error
+    relative to v where u - b would lose digits to cancellation.
     """
+    if sys.crit is not None:
+        y = v / sys.kappa
+        rho = _dth_roots(1.0 + y, sys.d, (0,))[:, 0]
+        out = _principal_quotient(sys, y, rho)
+        # From |y| = 1/2 on, another root of 1 + y can be as near 1 as the
+        # principal one, so the tie rule of _closed_children decides.
+        far = ~(np.abs(y) < 0.5)
+        if far.any():
+            out[far] = _closed_children(sys, v[far])[:, 0]
+        return out
     out = np.empty_like(v)
     near = np.abs(v) < 0.5 * delta
     solve = ~near
@@ -273,12 +374,15 @@ def _principal_step(sys, v, root_tolerance, delta, dV):
 def _expand_level(sys, v, root_tolerance):
     """Children of every node in digit order, deviation-tracked.
 
-    Principal children (digit 0) update v by the exact quotient identity
+    Unicritical P takes _closed_children. For any other P, principal
+    children (digit 0) update v by the exact quotient identity
     v / Q(child); nonzero digits land an O(1) distance from b, so plain
     subtraction is accurate there. Forming the parent point as b + v is
     lossless for the children: the principal child only uses Q near b, and
     a digit child's offset from its limit root scales with v itself.
     """
+    if sys.crit is not None:
+        return _closed_children(sys, v).reshape(-1)
     labels = labels_batch(sys, sys.b + v, root_tolerance)
     qv = sys.Q.eval_array(labels[:, 0])
     if np.any(qv == 0):
@@ -297,8 +401,9 @@ def _tail_products(sys, v, tol, n_cap, root_tolerance):
     geometric estimate |factor - 1| c / (1 - c) is itself at or below tol.
 
     Each step is one _principal_step on the deviations, and its factor is
-    a v_next / v_prev; inside delta/2, where most steps fall, both carry
-    only rounding error relative to v.
+    a v_next / v_prev; both carry only rounding error relative to v at
+    every step of a unicritical P, and inside delta/2, where most steps
+    fall, for any other P.
     """
     delta = contraction_delta(sys)
     dV = sys.V.derivative()
@@ -485,8 +590,8 @@ def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200,
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1 for the degenerate anchor")
-    first = labels_batch(sys, np.array([sys.b]), root_tolerance)[0]
-    seeds_v = first[1:] - sys.b
+    seeds_v = _expand_level(sys, np.zeros(1, dtype=np.complex128),
+                            root_tolerance)[1:]
     offset = sys.d ** (max_support - 1)
     return _sweep_from_seeds(sys, seeds_v, max_support - 1, max_support,
                              offset, tol, n_cap, root_tolerance)

@@ -322,15 +322,17 @@ def cmd_invert(spec, args):
 def cmd_moments(spec, args):
     sys_ = system_from_spec(spec)
     failed = False
+    # Every order is summed before the first row, so that an error leaves
+    # no partial table behind.
+    reports = [moment_sum(sys_, m, args.w, spec.max_support,
+                          tol=spec.product_tolerance, n_cap=spec.n_cap,
+                          root_tolerance=spec.root_tolerance)
+               for m in args.m]
     with _Output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "shell", "partial_re", "partial_im",
                          "closed_re", "closed_im", "abs_error", "tail_bound"])
-        for m in args.m:
-            report = moment_sum(sys_, m, args.w, spec.max_support,
-                                tol=spec.product_tolerance,
-                                n_cap=spec.n_cap,
-                                root_tolerance=spec.root_tolerance)
+        for m, report in zip(args.m, reports):
             closed = closed_form_momentum(sys_, m, args.w)
             for support, partial in report.shells:
                 writer.writerow([

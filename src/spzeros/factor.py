@@ -20,7 +20,7 @@ from .branches import (
     sweep_products,
     sweep_solutions_at_b,
 )
-from .errors import DivergentMoment, OrderTooLarge
+from .errors import DivergentMoment, OrderTooLarge, ValidationError
 from .system import bell_polynomial, taylor_at_zero
 
 # Number of trailing shell ratios whose drift from d/a^m sizes the error of
@@ -131,7 +131,11 @@ def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200,
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
     sweep = _anchor_sweep(sys, w, max_support, tol, n_cap, root_tolerance)
-    terms = ((w - sys.b) / sweep.values) ** m
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = ((w - sys.b) / sweep.values) ** m
+    if not np.all(np.isfinite(terms)):
+        raise ValidationError(
+            f"momentum terms of order {m} overflow at anchor w = {w}")
     # A relative error e in g_sigma moves its term by about m e |term|; e is
     # the product's tail estimate (doubled: it estimates, not bounds, the
     # dropped tail) plus the rounding of its terms_used factors.

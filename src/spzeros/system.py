@@ -25,6 +25,10 @@ from .errors import (
 from .poly import ComplexPolynomial, all_roots, q_polynomial
 
 FIXED_POINT_TOLERANCE = 1e-12
+# P counts as unicritical when each Taylor coefficient of order 1 .. d-1 at
+# c = -c_{d-1} / (d c_d) is at most this fraction of the sum of its terms'
+# moduli: a few dozen roundings of forming it.
+UNICRITICAL_TOL = 64 * 2.0 ** -53
 # Evaluation of f: iterate depth grows in steps of this size until two
 # consecutive depths agree.
 DEPTH_STEP = 5
@@ -39,6 +43,11 @@ class SPSystem:
     and V'(0) = a. Deep self-composition iterates V on the deviation from b
     rather than P on absolute points; this keeps full relative precision
     while the deviation is far below |b|.
+
+    For unicritical P, P(z) = c_d (z - crit)^d + P(crit), the critical
+    point crit, kappa = b - P(crit) = c_d t_b^d and t_b = b - crit are set
+    and the inverse branches have a closed form; for any other P they are
+    None.
     """
 
     P: ComplexPolynomial
@@ -48,6 +57,9 @@ class SPSystem:
     Q: ComplexPolynomial
     V: ComplexPolynomial
     rho: float
+    crit: complex = None
+    kappa: complex = None
+    t_b: complex = None
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,25 @@ class TaylorCoefficients:
     def derivative_at_zero(self, m):
         """Raw derivative f^(m)(0)."""
         return self.values[m] * math.factorial(m)
+
+
+def unicritical_point(P):
+    """The critical point c when P(z) = c_d (z - c)^d + P(c), else None.
+
+    The candidate is c = -c_{d-1} / (d c_d), the mean of the critical
+    points. P is unicritical when each Taylor coefficient
+    sum_i binom(i, j) c_i c^(i-j) at c, for j = 1 .. d-1, vanishes relative
+    to the sum of its terms' moduli (UNICRITICAL_TOL).
+    """
+    coeffs = P.coefficients
+    d = P.degree
+    c = -coeffs[d - 1] / (d * coeffs[d])
+    for j in range(1, d):
+        terms = [math.comb(i, j) * coeffs[i] * c ** (i - j)
+                 for i in range(j, d + 1)]
+        if abs(sum(terms)) > UNICRITICAL_TOL * sum(abs(t) for t in terms):
+            return None
+    return c
 
 
 def build_system(P, fixed_point_hint, root_tolerance=1e-13,
@@ -124,7 +155,11 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
     V = ComplexPolynomial(tuple(shifted))
 
     rho = math.log(d) / math.log(abs(a))
-    return SPSystem(P=P, b=complex(b), a=complex(a), d=d, Q=Q, V=V, rho=rho)
+    b = complex(b)
+    crit = unicritical_point(P)
+    return SPSystem(P=P, b=b, a=complex(a), d=d, Q=Q, V=V, rho=rho, crit=crit,
+                    kappa=None if crit is None else b - P.eval(crit),
+                    t_b=None if crit is None else b - crit)
 
 
 def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
@@ -159,6 +194,9 @@ def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
     dV = sys.V.derivative()
     n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
 
+    # Overflow, in a^depth at huge |z| or in the orbit, is reported by the
+    # OVERFLOW_LIMIT test, which a NaN fails too, not by numpy warnings.
+    @np.errstate(over="ignore", invalid="ignore")
     def run(depth, with_slope=True):
         v = dd.cdd_div_exact_by(z, dd.cdd_power(sys.a, depth))
         slope = np.ones_like(z)

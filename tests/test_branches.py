@@ -28,6 +28,7 @@ from spzeros import (
 )
 from spzeros import branches
 from spzeros.branches import labels_batch, thread_limit
+from spzeros.system import unicritical_point
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
 
 # First zero of the golden-ratio system, frozen from a 50-digit
@@ -77,6 +78,27 @@ def test_branch_labels_cubic_order():
     want = [2.0 + 0j, -1.0 - r3 * 1j, -1.0 + r3 * 1j]
     for got, expect in zip(labels, want):
         assert abs(got - expect) <= 1e-12
+
+
+def _lexsort_order(rel):
+    # The tie rule written with two lexsorts, as a reference: nearest b
+    # first by (|rel|, arg rel, re, im), the rest by (arg rel, re, im).
+    n, d = rel.shape
+    ang = np.angle(rel)
+    first = np.lexsort((rel.imag, rel.real, ang, np.abs(rel)), axis=-1)[:, :1]
+    by_angle = np.lexsort((rel.imag, rel.real, ang), axis=-1)
+    rest = by_angle[by_angle != first].reshape(n, d - 1)
+    return np.concatenate([first, rest], axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_branch_order_matches_lexsort(d):
+    rng = np.random.default_rng(40 + d)
+    rel = rng.normal(size=(500, d)) + 1j * rng.normal(size=(500, d))
+    rel[::5, 1] = np.conj(rel[::5, 0])  # a distance tie, broken by angle
+    rel[1::5, 1] = rel[1::5, 0]  # a full tie, broken by column
+    rel[2::5, :] = np.round(rel[2::5, :])  # ties on single keys
+    assert np.array_equal(branches._branch_order(rel), _lexsort_order(rel))
 
 
 def test_principal_branch_contracts_to_fixed_point():
@@ -373,7 +395,16 @@ def _flag_every_point_bad(monkeypatch):
         newton(s, v, d)[0], np.ones(v.size, dtype=bool)))
 
 
-@pytest.mark.parametrize("coeffs,hint", STEP_SYSTEMS)
+# Only P that is not unicritical has a root-solver route: a unicritical P
+# steps by the closed form, which test_principal_step_matches_reference_newton
+# checks. The ids stay those of the positions in STEP_SYSTEMS.
+GENERAL_STEP_SYSTEMS = [
+    pytest.param(coeffs, hint, id=f"coeffs{i}-{hint}")
+    for i, (coeffs, hint) in enumerate(STEP_SYSTEMS)
+    if unicritical_point(ComplexPolynomial(coeffs)) is None]
+
+
+@pytest.mark.parametrize("coeffs,hint", GENERAL_STEP_SYSTEMS)
 def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
     sys = build_system(ComplexPolynomial(coeffs), hint)
     delta = contraction_delta(sys)
@@ -397,3 +428,73 @@ def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):
     # rounding error relative to v where u - b would not.
     _flag_every_point_bad(monkeypatch)
     test_zero_product_chebyshev_oracle_support_six()
+
+
+# Oracles for the closed-form branches of unicritical P.
+
+
+def _mp_golden_walk(digits, steps=80):
+    """g_sigma(0) of the golden system by a 60-digit orbit walk.
+
+    Each step takes the roots +-sqrt(u + 1) of z^2 - 1 = u in labels_batch's
+    order: the root nearest b first, ties by the smaller arg(root - b), then
+    by (re, im). After the digits, `steps` principal steps leave a^n (u_n - b)
+    within 1e-30 of the limit.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b = (1 + mpmath.sqrt(5)) / 2
+        key = lambda z: (abs(z - b), mpmath.arg(z - b), z.real, z.imag)
+        u = mpmath.mpc(0)
+        for dig in list(digits) + [0] * steps:
+            r = mpmath.sqrt(u + 1)
+            first = min((r, -r), key=key)
+            u = first if dig == 0 else (-r if first is r else r)
+        return complex((2 * b) ** (len(digits) + steps) * (u - b))
+
+
+def test_golden_zeros_match_mpmath_walk():
+    sys = golden_system()
+    sweep = sweep_products(sys, 0j, 5)
+    for pos, idx in enumerate(sweep.indices()):
+        digits = sweep.digits_of(idx)
+        want = _mp_golden_walk(digits)
+        assert abs(sweep.values[pos] - want) <= 1e-12 * abs(want), digits
+
+
+def test_golden_zeros_self_similar():
+    # P^{-1}(-1) = {0, 0} and -1 is the digit-1 child of 0, so the orbit of
+    # the address (1, j, tau) returns to 0 after two steps for j = 0, 1:
+    # g_(1,j,tau)(0) = a^2 g_tau(0). At depth N, tau padded to N - 2 digits
+    # has index t, (1, j, tau) has 2^(N-1) + j 2^(N-2) + t, and tau padded
+    # to N digits has 4 t.
+    sys = golden_system()
+    depth = 12
+    values = sweep_products(sys, 0j, depth).values
+    t = np.arange(2 ** (depth - 2))
+    want = sys.a ** 2 * values[4 * t]
+    for j in (0, 1):
+        got = values[2 ** (depth - 1) + j * 2 ** (depth - 2) + t]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_golden_zeros_coincide_or_separate():
+    # Multiple zeros must coincide to rounding, not split at the
+    # (1e-13)^(1/k) level of a residual-stopped root solver.
+    values = sweep_products(golden_system(), 0j, 8).values
+    i, j = np.triu_indices(values.size, 1)
+    rel = np.abs(values[i] - values[j]) / np.maximum(np.abs(values[i]),
+                                                     np.abs(values[j]))
+    assert not np.any((rel > 1e-13) & (rel < 1e-6))
+
+
+def test_chebyshev_critical_anchor_oracle():
+    # w = -1 is a critical value of f(z) = cos(sqrt(-2z)): every solution
+    # -((2k + 1) pi)^2 / 2 is double, reached by two addresses.
+    sys = chebyshev_system()
+    sweep = sweep_products(sys, -1.0, 10)
+    k = np.round((np.sqrt(-2.0 * sweep.values.real) / math.pi - 1) / 2)
+    want = -((2 * k + 1) * math.pi) ** 2 / 2
+    assert np.all(np.abs(sweep.values - want) <= 1e-12 * np.abs(want))
+    assert np.array_equal(np.bincount(k.astype(np.int64)),
+                          np.full(512, 2))

@@ -17,7 +17,8 @@ from spzeros import (
     eval_f_direct,
     taylor_at_zero,
 )
-from spzeros.branches import sweep_products
+from spzeros.branches import labels_batch, sweep_products
+from spzeros.poly import roots_batch
 from spzeros.system import _eval_f_with_slope
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
 from spzeros import dd
@@ -32,6 +33,30 @@ def test_build_chebyshev_parameters():
     assert sys.d == 2
     # order of growth rho = ln d / ln |a|
     assert abs(sys.rho - 0.5) <= 1e-15
+
+
+def test_unicritical_detection():
+    for sys in (chebyshev_system(), golden_system(), cubic_system()):
+        assert sys.crit == 0
+        assert sys.kappa == sys.b - sys.P.eval(0j)
+        assert sys.t_b == sys.b
+    quartic = build_system(ComplexPolynomial((-1 + 0.2j, 0, 0.3, 0, 1)), 1.5)
+    assert quartic.crit is None and quartic.kappa is None
+
+
+def test_unicritical_labels_match_root_solver():
+    # P(z) = c_d (z - c)^3 + k, expanded, with c != 0 and complex c_d.
+    lead, c, k = 1 + 0.5j, 0.3 - 0.2j, 0.1
+    P = ComplexPolynomial((lead * (-c) ** 3 + k, 3 * lead * c ** 2,
+                           -3 * lead * c, lead))
+    sys = build_system(P, 1.3 - 0.5j)
+    assert abs(sys.crit - c) <= 1e-15
+    assert abs(sys.kappa - lead * sys.t_b ** 3) <= 1e-14 * abs(sys.kappa)
+    rng = np.random.default_rng(5)
+    w = 3 * (rng.normal(size=50) + 1j * rng.normal(size=50))
+    closed = np.sort_complex(labels_batch(sys, w))
+    solved = np.sort_complex(roots_batch(P, w))
+    assert np.all(np.abs(closed - solved) <= 1e-13)
 
 
 def test_build_golden_parameters():

@@ -45,9 +45,13 @@ def test_cluster_zeros_reports_ambiguity():
 def test_golden_sweep_has_collapsed_address_pairs():
     # The golden system's critical orbit is the 2-cycle {0, -1}, so branch
     # steps can pass through a double root and distinct addresses collapse
-    # onto the same zero. At support <= 5 the pair (1,) ~ (1,1) lands on
-    # the real double zero near -23.0102560, and two conjugate cross-support
-    # pairs appear near -693.52 +- 419.74i.
+    # onto the same zero. A 60-digit walk of every address at support <= 5,
+    # under labels_batch's tie rule, finds six multiple zeros: the real
+    # double zero near -23.0102560 of (1,) ~ (1,1), two real fourfold zeros
+    # near -240.97 and -2523.43, and three double zeros off the real axis,
+    # near -693.52 +- 419.74i and -2163.40 - 1541.17i.
+    # The closed-form branches pass the critical value exactly, so each
+    # cluster coincides to rounding.
     sys = golden_system()
     sweep = sweep_products(sys, 0j, 5)
     pairs = [("".join(map(str, sweep.digits_of(i))), sweep.values[pos])
@@ -57,8 +61,10 @@ def test_golden_sweep_has_collapsed_address_pairs():
     assert frozenset({"1", "11"}) in multis
     double = multis[frozenset({"1", "11"})]
     assert abs(double.center - (-23.010256034)) <= 1e-6
-    assert double.diameter <= 1e-4
-    assert len(multis) == 3
+    sizes = sorted(c.multiplicity for c in multis.values())
+    assert sizes == [2, 2, 2, 2, 4, 4]
+    for c in multis.values():
+        assert c.diameter <= 1e-14 * abs(c.center)
 
 
 def test_cross_check_reports_agreement():

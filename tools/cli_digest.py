@@ -9,8 +9,9 @@ against this checkout's src/. Prints one line per run:
 Two checkouts whose digests are equal print the same bytes on every run,
 so diffing the digests of two commits shows whether a change kept the
 output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last four runs feed the CLI bad input: three non-finite
-values and an anchor with three parts, which the argument parser rejects.
+a traceback. The last five runs feed the CLI bad input: an anchor whose
+momentum terms overflow, three non-finite values and an anchor with three
+parts, which the argument parser rejects.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
@@ -28,7 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # which is the fixed point b of cubic6.json, so the w = b ladder is covered.
 # The anchor -3e4+i gives solutions of large |g|, where the round-trip
 # budget's slope |f'(g)| varies on short scales; 0.999 lies next to the
-# critical value 1 of Chebyshev's f, so every row's slope f'(g) is small.
+# critical value 1 of Chebyshev's f, so every row's slope f'(g) is small;
+# w = 1 is that critical value itself, where solutions are double. The
+# anchor 1e20 has inverse branches of size 1e10 at the first step.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -38,6 +41,9 @@ RUNS = (
     ("moments", "--max-support", "8", "--m", "1,2"),
     ("wh", "--max-support", "8", "--z=-1.2,0.3", "--z", "2,1"),
     ("check", "--max-support", "6"),
+    ("invert", "--w=1", "--verify"),
+    ("invert", "--max-support", "2", "--w=1e20"),
+    ("moments", "--w=1e300"),
     ("invert", "--max-support", "2", "--w=nan"),
     ("wh", "--max-support", "2", "--z=inf"),
     ("zeros", "--max-support", "2", "--tol", "nan"),
