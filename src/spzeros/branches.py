@@ -30,20 +30,19 @@ Taking u - P(crit) as v + kappa keeps a passage through the critical value
 exact, so addresses that collapse onto a multiple zero agree to rounding.
 The principal child is t_b y / sum_{k<d} rho^k with y = v / kappa,
 rho^d = 1 + y and t_b = b - crit, which carries the relative accuracy of
-v down to the smallest doubles with no root solve and no Newton.
+v with no cancellation. Any other P solves P(z) = u by the Aberth root
+solver; its principal steps update v <- v / Q(u), with the principal root
+u (well conditioned, since an orbit can only approach a root of Q when its
+parent is near b, where Q is evaluated near b instead). Direct evaluation
+of Q at a point close to one of its roots, which loses half the digits to
+cancellation exactly at the largest solutions, never happens. Both kinds
+of P order the branches of a step by one tie rule, _branch_order.
 
-Any other P solves P(z) = u by the Aberth root solver. In the digit prefix
-principal steps update v <- v / Q(u), with the principal root u (well
-conditioned, since an orbit can only approach a root of Q when its parent
-is near b, where Q is evaluated near b instead). Direct evaluation of Q at
-a point close to one of its roots, which loses half the digits to
-cancellation exactly at the largest solutions, never happens. In the
-tail, _principal_step inverts the conjugate polynomial V(v) = P(b + v) - b
-by a checked Newton iteration on deviations inside half the contraction
-ball, which keeps the relative error of v at the rounding level no matter
-how small v gets; beyond it, or where Newton fails its check, it takes the
-same v / Q(u). Both kinds of P order the branches of a step by one tie
-rule, _branch_order.
+In the tail, _principal_step inverts the conjugate polynomial
+V(v) = P(b + v) - b by a checked Newton iteration on deviations inside
+half the contraction ball, which keeps the relative error of v at the
+rounding level no matter how small v gets; beyond it, or where Newton
+fails its check, it takes the principal child of the inverse step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
@@ -212,19 +211,20 @@ def _branch_order(rel):
     return np.concatenate([first, rest], axis=1)
 
 
-def _dth_roots(z, d, turns):
-    """d-th roots of every entry of z, one column per k in turns.
+def _dth_roots(z, d):
+    """All d-th roots of every entry of z, shape (B, d).
 
-    Column k is |z|^(1/d) (cos t + i sin t) with t = (arg z + 2 pi k) / d;
-    k = 0 is the principal root. For d = 2, k = 0 and 1 give +-sqrt(z)
-    exactly. The polar form is cheaper than complex powers, and for odd d
-    the turns -(d-1)/2 .. (d-1)/2 give exact conjugate pairs at real z.
+    The roots are |z|^(1/d) (cos t + i sin t) with t = (arg z + 2 pi k) / d
+    for the turns k = -(d-1)/2 .. d/2, which give exact conjugate pairs at
+    real z; for d = 2 they are +-sqrt(z) exactly. The polar form is cheaper
+    than complex powers.
     """
     if d == 2:
         s = np.sqrt(z)
-        return np.stack([s if k == 0 else -s for k in turns], axis=1)
+        return np.stack([s, -s], axis=1)
+    turns = np.arange(-((d - 1) // 2), d // 2 + 1)
     mag = np.abs(z)[:, None] ** (1.0 / d)
-    t = (np.angle(z)[:, None] + 2.0 * np.pi * np.asarray(turns)) / d
+    t = (np.angle(z)[:, None] + 2.0 * np.pi * turns) / d
     out = np.empty(t.shape, dtype=np.complex128)
     out.real = mag * np.cos(t)
     out.imag = mag * np.sin(t)
@@ -254,8 +254,7 @@ def _closed_children(sys, v):
     are in _branch_order, and the principal one is _principal_quotient.
     """
     d = sys.d
-    s = _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], d,
-                   range(-((d - 1) // 2), d // 2 + 1))
+    s = _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], d)
     rel = s - sys.t_b
     order = _branch_order(rel)
     rel = np.take_along_axis(rel, order, axis=1)
@@ -339,33 +338,24 @@ def _conjugate_newton(sys, v, dV):
 def _principal_step(sys, v, root_tolerance, delta, dV):
     """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
-    Unicritical P takes the closed form. Where |y| = |v / kappa| < 1/2 the
-    principal root of 1 + y is the nearest one, with no tie possible, and
-    _principal_quotient keeps the relative accuracy of v down to the
-    smallest doubles; elsewhere the step is column 0 of _closed_children.
-
-    Any other P: deviations inside delta/2 take _conjugate_newton. The rest,
-    and every point it flags bad, take the principal root u of the root
-    solver and the quotient v / Q(u), which keeps the rounding error
-    relative to v where u - b would lose digits to cancellation.
+    Deviations inside delta/2 take _conjugate_newton. The rest, and every
+    point it flags bad, take the principal branch of the inverse step:
+    column 0 of _closed_children for unicritical P; for any other P the
+    principal root u of the root solver and the quotient v / Q(u). Both
+    keep the rounding error relative to v where u - b would lose digits to
+    cancellation.
     """
-    if sys.crit is not None:
-        y = v / sys.kappa
-        rho = _dth_roots(1.0 + y, sys.d, (0,))[:, 0]
-        out = _principal_quotient(sys, y, rho)
-        # From |y| = 1/2 on, another root of 1 + y can be as near 1 as the
-        # principal one, so the tie rule of _closed_children decides.
-        far = ~(np.abs(y) < 0.5)
-        if far.any():
-            out[far] = _closed_children(sys, v[far])[:, 0]
-        return out
     out = np.empty_like(v)
     near = np.abs(v) < 0.5 * delta
     solve = ~near
     if near.any():
         out[near], bad = _conjugate_newton(sys, v[near], dV)
         solve[np.flatnonzero(near)[bad]] = True
-    if solve.any():
+    if not solve.any():
+        return out
+    if sys.crit is not None:
+        out[solve] = _closed_children(sys, v[solve])[:, 0]
+    else:
         u = labels_batch(sys, sys.b + v[solve], root_tolerance)[:, 0]
         out[solve] = v[solve] / sys.Q.eval_array(u)
     return out
@@ -401,9 +391,8 @@ def _tail_products(sys, v, tol, n_cap, root_tolerance):
     geometric estimate |factor - 1| c / (1 - c) is itself at or below tol.
 
     Each step is one _principal_step on the deviations, and its factor is
-    a v_next / v_prev; both carry only rounding error relative to v at
-    every step of a unicritical P, and inside delta/2, where most steps
-    fall, for any other P.
+    a v_next / v_prev; inside delta/2, where most steps fall, both carry
+    only rounding error relative to v.
     """
     delta = contraction_delta(sys)
     dV = sys.V.derivative()

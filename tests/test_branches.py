@@ -1,5 +1,6 @@
 """Digit addresses, Viete-type products, zeros, and inverse branches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,8 +280,14 @@ def test_eval_agrees_with_product_zero():
 # f(z) = cos(sqrt(-2z)) solves f(z) = w exactly at z = -(+-acos w + 2 pi k)^2/2.
 
 
-def test_zero_product_chebyshev_oracle_support_six():
-    sys = chebyshev_system()
+def _general(sys):
+    """sys with its unicritical detection dropped, so that it runs the
+    route of any other P: Aberth children, the v / Q quotient and the
+    root-solver fallback of the tail."""
+    return dataclasses.replace(sys, crit=None, kappa=None, t_b=None)
+
+
+def _chebyshev_zero_oracle(sys):
     ks = []
     for sigma in enumerate_sigma(2, 6):
         got = zero_product(sys, sigma).value
@@ -289,6 +296,10 @@ def test_zero_product_chebyshev_oracle_support_six():
         assert abs(got - want) <= 1e-12 * abs(want), (sigma, got, want)
         ks.append(k)
     assert sorted(ks) == list(range(64))
+
+
+def test_zero_product_chebyshev_oracle_support_six():
+    _chebyshev_zero_oracle(chebyshev_system())
 
 
 @pytest.mark.parametrize("w", [-0.5, 0.3 + 0.2j, 5 - 2j])
@@ -395,18 +406,9 @@ def _flag_every_point_bad(monkeypatch):
         newton(s, v, d)[0], np.ones(v.size, dtype=bool)))
 
 
-# Only P that is not unicritical has a root-solver route: a unicritical P
-# steps by the closed form, which test_principal_step_matches_reference_newton
-# checks. The ids stay those of the positions in STEP_SYSTEMS.
-GENERAL_STEP_SYSTEMS = [
-    pytest.param(coeffs, hint, id=f"coeffs{i}-{hint}")
-    for i, (coeffs, hint) in enumerate(STEP_SYSTEMS)
-    if unicritical_point(ComplexPolynomial(coeffs)) is None]
-
-
-@pytest.mark.parametrize("coeffs,hint", GENERAL_STEP_SYSTEMS)
+@pytest.mark.parametrize("coeffs,hint", STEP_SYSTEMS)
 def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
-    sys = build_system(ComplexPolynomial(coeffs), hint)
+    sys = _general(build_system(ComplexPolynomial(coeffs), hint))
     delta = contraction_delta(sys)
     dV = sys.V.derivative()
     rng = np.random.default_rng(72)
@@ -423,11 +425,43 @@ def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
                           _root_solver_route(sys, v))
 
 
-def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):
-    # The fallback alone must still give the exact zeros: it keeps the
-    # rounding error relative to v where u - b would not.
+UNICRITICAL_STEP_SYSTEMS = [
+    pytest.param(coeffs, hint, id=f"coeffs{i}-{hint}")
+    for i, (coeffs, hint) in enumerate(STEP_SYSTEMS)
+    if unicritical_point(ComplexPolynomial(coeffs)) is not None]
+
+
+@pytest.mark.parametrize("coeffs,hint", UNICRITICAL_STEP_SYSTEMS)
+def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
+    # Beyond delta/2, and where Newton is flagged, a unicritical P steps by
+    # the principal column of the closed form instead of the root solver.
+    sys = build_system(ComplexPolynomial(coeffs), hint)
+    delta = contraction_delta(sys)
+    dV = sys.V.derivative()
+    rng = np.random.default_rng(73)
+    far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
+        2j * np.pi * rng.uniform(size=50))
+    closed = lambda v: branches._closed_children(sys, v)[:, 0]  # noqa: E731
+    assert np.array_equal(branches._principal_step(sys, far, 1e-13, delta, dV),
+                          closed(far))
+    near = _log_spread_deviations(rng, 50, 0.49 * delta)
+    want = _reference_inverse(coeffs, hint, near)
+    assert np.all(np.abs(closed(near) - want) <= 1e-14 * np.abs(want))
+
     _flag_every_point_bad(monkeypatch)
-    test_zero_product_chebyshev_oracle_support_six()
+    v = np.concatenate([near, far])
+    assert np.array_equal(branches._principal_step(sys, v, 1e-13, delta, dV),
+                          closed(v))
+
+
+def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):
+    # Every route must give the exact zeros: the general one, and the
+    # fallbacks alone, which keep the rounding error relative to v where
+    # u - b would not.
+    _chebyshev_zero_oracle(_general(chebyshev_system()))
+    _flag_every_point_bad(monkeypatch)
+    _chebyshev_zero_oracle(chebyshev_system())
+    _chebyshev_zero_oracle(_general(chebyshev_system()))
 
 
 # Oracles for the closed-form branches of unicritical P.
