@@ -16,6 +16,14 @@ moment, identity violation beyond its budget), 3 Hypothesis-1 probe failure.
 Output ordering is fixed by the padded address index (equivalently,
 digit-string lexicographic order), so byte-identical output does not depend
 on SPZEROS_THREADS.
+
+The tables of zeros and invert, one row per address, are written by one
+block writer, BLOCK_ROWS rows per write: the address column comes from the
+padded indices in one numpy pass, and each row is one f-string over the
+listed columns. It prints the bytes csv.writer printed with
+format(x, ".17g") for every float (tests/test_output.py holds that per-row
+writer as the reference). The few rows of moments and wh go through
+csv.writer.
 """
 
 import argparse
@@ -67,6 +75,11 @@ SLOPE_SLACK = 8.0
 # Hypothesis-1 probe grid used by cmd_check and --check-hypothesis.
 HYPOTHESIS_RADIUS = 10.0
 HYPOTHESIS_COUNT = 64
+# Rows of zeros and invert formatted per write. Formatting the floats costs
+# the same at any block size from 2^8 to 2^13; at 2^10 a block's strings
+# stay below the sweep's own arrays, where 2^12 raised the peak memory of
+# cubic6's 98,415-row `invert --max-support 9 --circle 2,5` by 1.7 MB.
+BLOCK_ROWS = 1 << 10
 
 __all__ = [
     "ProblemSpec",
@@ -82,10 +95,54 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _sigma_string(digits, d):
+def _address_column(idx, d, depth):
+    """Canonical address of each padded index, as csv.writer writes it:
+    digits run together for d <= 10; for d > 10 they are comma-separated,
+    and quoted once they hold a comma."""
+    if depth == 0:
+        return [""] * idx.size
+    powers = d ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    digits = idx[:, None] // powers % d
+    # Trailing zeros are not part of the canonical address.
+    keep = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     if d <= 10:
-        return "".join(str(v) for v in digits)
-    return ",".join(str(v) for v in digits)
+        # A numpy string ends at its first trailing NUL, so the masked
+        # zeros drop out of the view.
+        chars = np.where(keep, digits + ord("0"), 0).astype(np.uint32)
+        return chars.view(f"U{depth}").ravel().tolist()
+    column = []
+    for row, support in zip(digits.tolist(), keep.sum(axis=1).tolist()):
+        text = ",".join(map(str, row[:support]))
+        column.append(f'"{text}"' if support >= 2 else text)
+    return column
+
+
+def _write_rows(fh, sweep, w=None, pref=None, flags=False):
+    """Write one CSV row per address of `sweep`, BLOCK_ROWS rows per write.
+
+    A row holds the address, the anchor w when given (invert's w_re,w_im),
+    re, im, terms_used, tail_estimate, then the row's entry of `pref`
+    (invert's prefactor_exponent) when given and, with `flags`, the
+    converged column. Each float is printed as format(x, ".17g") prints it.
+    """
+    lead = "," if w is None else f",{w.real:.17g},{w.imag:.17g},"
+    size = sweep.values.size
+    for lo in range(0, size, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, size)
+        idx = np.arange(lo, hi, dtype=np.int64) + sweep.offset
+        ends = [""] * (hi - lo)
+        if pref is not None:
+            ends = ["," + p for p in pref[lo:hi]]
+        if flags:
+            ends = [e + f for e, f in zip(ends, np.where(
+                sweep.converged[lo:hi], ",true", ",false").tolist())]
+        rows = zip(_address_column(idx, sweep.d, sweep.depth),
+                   sweep.values.real[lo:hi].tolist(),
+                   sweep.values.imag[lo:hi].tolist(),
+                   sweep.terms_used[lo:hi].tolist(),
+                   sweep.tail_estimate[lo:hi].tolist(), ends)
+        fh.write("".join([f"{s}{lead}{re:.17g},{im:.17g},{t},{e:.17g}{x}\n"
+                          for s, re, im, t, e, x in rows]))
 
 
 def _require_finite(value, text):
@@ -223,17 +280,8 @@ def cmd_zeros(spec, args):
     if not all_ok:
         header.append("converged")
     with _Output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for pos, idx in enumerate(sweep.indices()):
-            sigma = _sigma_string(sweep.digits_of(idx), sys_.d)
-            value = sweep.values[pos]
-            row = [sigma, _fmt(value.real), _fmt(value.imag),
-                   str(int(sweep.terms_used[pos])),
-                   _fmt(sweep.tail_estimate[pos])]
-            if not all_ok:
-                row.append("true" if sweep.converged[pos] else "false")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, sweep, flags=not all_ok)
     if args.png is not None:
         width, height = args.png
         scatter_png(args.png_path or _default_png_path(args.output),
@@ -298,19 +346,9 @@ def cmd_invert(spec, args):
     if not all_ok:
         header.append("converged")
     with _Output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for w, sweep, pref in blocks:
-            for pos, idx in enumerate(sweep.indices()):
-                sigma = _sigma_string(sweep.digits_of(idx), sys_.d)
-                value = sweep.values[pos]
-                row = [sigma, _fmt(w.real), _fmt(w.imag),
-                       _fmt(value.real), _fmt(value.imag),
-                       str(int(sweep.terms_used[pos])),
-                       _fmt(sweep.tail_estimate[pos]), pref[pos]]
-                if not all_ok:
-                    row.append("true" if sweep.converged[pos] else "false")
-                writer.writerow(row)
+            _write_rows(fh, sweep, w=w, pref=pref, flags=not all_ok)
     if args.verify and not verified_ok:
         print(f"verification failed: worst |f(g) - w| = "
               f"{worst_excess[1]:.3e} exceeds its error budget "

@@ -340,6 +340,22 @@ def test_output_file_writing(tmp_path, capsys):
     assert text.count("\r") == 0  # unix line endings regardless of platform
 
 
+def test_zeros_converged_column(capsys):
+    # At tol 1e-17 some tails reach n_cap; those rows, and only those, are
+    # flagged, and the run exits 2.
+    code, out, _ = run_cli(
+        ["zeros", CHEB, "--max-support", "8", "--tol", "1e-17"], capsys)
+    assert code == 2
+    header, rows = read_csv(out)
+    assert header[-1] == "converged"
+    assert len(rows) == 2 ** 8
+    assert {r[-1] for r in rows} == {"true", "false"}
+    n_cap = json.loads(Path(CHEB).read_text())["n_cap"]
+    capped = [r[-1] == "false" for r in rows]
+    assert capped == [int(r[3]) == n_cap + 8 for r in rows]
+    assert sum(capped) == 35
+
+
 def _run_subprocess(args, threads):
     env = dict(os.environ, SPZEROS_THREADS=str(threads))
     return subprocess.run([sys.executable, "-m", "spzeros", *args],

@@ -31,7 +31,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # budget's slope |f'(g)| varies on short scales; 0.999 lies next to the
 # critical value 1 of Chebyshev's f, so every row's slope f'(g) is small;
 # w = 1 is that critical value itself, where solutions are double. The
-# anchor 1e20 has inverse branches of size 1e10 at the first step.
+# anchor 1e20 has inverse branches of size 1e10 at the first step. At
+# tol 1e-17 some tails reach n_cap, which adds the converged column. The
+# support-9 runs cross a block of the row writer: 19,683 zeros of cubic6,
+# and a circle whose w = b ladder table alone has 19,682 rows.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -43,6 +46,9 @@ RUNS = (
     ("check", "--max-support", "6"),
     ("invert", "--w=1", "--verify"),
     ("invert", "--max-support", "2", "--w=1e20"),
+    ("zeros", "--max-support", "8", "--tol", "1e-17"),
+    ("zeros", "--max-support", "9"),
+    ("invert", "--max-support", "9", "--circle", "2,5"),
     ("moments", "--w=1e300"),
     ("invert", "--max-support", "2", "--w=nan"),
     ("wh", "--max-support", "2", "--z=inf"),
