@@ -35,8 +35,9 @@ solver; its principal steps update v <- v / Q(u), with the principal root
 u (well conditioned, since an orbit can only approach a root of Q when its
 parent is near b, where Q is evaluated near b instead). Direct evaluation
 of Q at a point close to one of its roots, which loses half the digits to
-cancellation exactly at the largest solutions, never happens. Both kinds
-of P order the branches of a step by one tie rule, _branch_order.
+cancellation exactly at the largest solutions, never happens. One
+function, _children, takes the inverse step for both kinds of P, and one
+tie rule, _branch_order, orders its branches.
 
 In the tail, _principal_step inverts the conjugate polynomial
 V(v) = P(b + v) - b by a checked Newton iteration on deviations inside
@@ -263,31 +264,54 @@ def _closed_children(sys, v):
     return rel
 
 
-def labels_batch(sys, w, root_tolerance=1e-13):
+def labels_batch(sys, w):
     """All inverse branches at each point, principal first.
 
     Returns shape (B, d) in _branch_order: column 0 is the root of P(z) = w
     nearest b, the rest follow by the argument of root - b. Unicritical P
     takes the closed form of _closed_children; any other P solves by
-    roots_batch to root_tolerance.
+    roots_batch to the system's sys.root_tolerance.
     """
     w = np.asarray(w, dtype=np.complex128)
     if sys.crit is not None:
         return sys.b + _closed_children(sys, w - sys.b)
-    roots = roots_batch(sys.P, w, root_tolerance)
+    roots = roots_batch(sys.P, w, sys.root_tolerance)
     order = _branch_order(roots - sys.b)
     return np.take_along_axis(roots, order, axis=1)
 
 
-def branch_labels(sys, w, root_tolerance=1e-13):
+def branch_labels(sys, w):
     """Deterministically ordered inverse branches at a single point."""
-    row = labels_batch(sys, np.array([complex(w)]), root_tolerance)[0]
+    row = labels_batch(sys, np.array([complex(w)]))[0]
     return [complex(v) for v in row]
 
 
-def principal_branch(sys, w, root_tolerance=1e-13):
+def principal_branch(sys, w):
     """The inverse branch fixing b: root of P(z) = w nearest b."""
-    return branch_labels(sys, w, root_tolerance)[0]
+    return branch_labels(sys, w)[0]
+
+
+def _children(sys, v):
+    """Deviations of every inverse branch of b + v, shape (B, d).
+
+    This is the one inverse step of the address tree and of the tail.
+    Columns are in _branch_order. Unicritical P takes _closed_children. For
+    any other P the principal child (column 0) is v / Q(u), by the exact
+    quotient identity with the principal root u; nonzero digits land an
+    O(1) distance from b, so plain subtraction is accurate there. Forming
+    the parent point as b + v is lossless for the children: the principal
+    child only uses Q near b, and a digit child's offset from its limit
+    root scales with v itself.
+    """
+    if sys.crit is not None:
+        return _closed_children(sys, v)
+    labels = labels_batch(sys, sys.b + v)
+    qv = sys.Q.eval_array(labels[:, 0])
+    if np.any(qv == 0):
+        raise ZeroDenominator("Q vanished at an inverse step")
+    rel = labels - sys.b
+    rel[:, 0] = v / qv
+    return rel
 
 
 @lru_cache(maxsize=64)
@@ -335,14 +359,12 @@ def _conjugate_newton(sys, v, dV):
     return x, above | ~(np.abs(x) <= mag)
 
 
-def _principal_step(sys, v, root_tolerance, delta, dV):
+def _principal_step(sys, v, delta, dV):
     """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
     Deviations inside delta/2 take _conjugate_newton. The rest, and every
-    point it flags bad, take the principal branch of the inverse step:
-    column 0 of _closed_children for unicritical P; for any other P the
-    principal root u of the root solver and the quotient v / Q(u). Both
-    keep the rounding error relative to v where u - b would lose digits to
+    point it flags bad, take column 0 of the inverse step _children, which
+    keeps the rounding error relative to v where u - b would lose digits to
     cancellation.
     """
     out = np.empty_like(v)
@@ -351,38 +373,17 @@ def _principal_step(sys, v, root_tolerance, delta, dV):
     if near.any():
         out[near], bad = _conjugate_newton(sys, v[near], dV)
         solve[np.flatnonzero(near)[bad]] = True
-    if not solve.any():
-        return out
-    if sys.crit is not None:
-        out[solve] = _closed_children(sys, v[solve])[:, 0]
-    else:
-        u = labels_batch(sys, sys.b + v[solve], root_tolerance)[:, 0]
-        out[solve] = v[solve] / sys.Q.eval_array(u)
+    if solve.any():
+        out[solve] = _children(sys, v[solve])[:, 0]
     return out
 
 
-def _expand_level(sys, v, root_tolerance):
-    """Children of every node in digit order, deviation-tracked.
-
-    Unicritical P takes _closed_children. For any other P, principal
-    children (digit 0) update v by the exact quotient identity
-    v / Q(child); nonzero digits land an O(1) distance from b, so plain
-    subtraction is accurate there. Forming the parent point as b + v is
-    lossless for the children: the principal child only uses Q near b, and
-    a digit child's offset from its limit root scales with v itself.
-    """
-    if sys.crit is not None:
-        return _closed_children(sys, v).reshape(-1)
-    labels = labels_batch(sys, sys.b + v, root_tolerance)
-    qv = sys.Q.eval_array(labels[:, 0])
-    if np.any(qv == 0):
-        raise ZeroDenominator("Q vanished while expanding the address tree")
-    v_next = labels - sys.b
-    v_next[:, 0] = v / qv
-    return v_next.reshape(-1)
+def _expand_level(sys, v):
+    """Children of every node in digit order, deviation-tracked."""
+    return _children(sys, v).reshape(-1)
 
 
-def _tail_products(sys, v, tol, n_cap, root_tolerance):
+def _tail_products(sys, v, tol, n_cap):
     """Principal-branch tail factors for every deviation, element-wise stopping.
 
     Returns (tail, steps, tail_estimate, converged). An element retires once
@@ -413,7 +414,7 @@ def _tail_products(sys, v, tol, n_cap, root_tolerance):
     last_est = np.full(size, np.inf)
 
     for k in range(1, n_cap + 1):
-        nxt = _principal_step(sys, cur, root_tolerance, delta, dV)
+        nxt = _principal_step(sys, cur, delta, dV)
         factor = sys.a * nxt / cur
         tail[work] *= factor
         dist = np.abs(nxt)
@@ -494,8 +495,7 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap,
-                      root_tolerance):
+def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
     The telescoped value of a leaf is a^depth * v_leaf times its tail
@@ -505,7 +505,7 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap,
     v = seeds_v
     # Serial expansion until one seed subtree fits a chunk.
     while levels > 0 and sys.d ** levels > CHUNK_LEAVES:
-        v = _expand_level(sys, v, root_tolerance)
+        v = _expand_level(sys, v)
         levels -= 1
     leaves_per_seed = sys.d ** levels
     group = max(1, CHUNK_LEAVES // leaves_per_seed)
@@ -515,9 +515,8 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap,
     def chunk_task(lo, hi):
         cv = v[lo:hi]
         for _ in range(levels):
-            cv = _expand_level(sys, cv, root_tolerance)
-        tail, steps, est, conv = _tail_products(sys, cv, tol, n_cap,
-                                                root_tolerance)
+            cv = _expand_level(sys, cv)
+        tail, steps, est, conv = _tail_products(sys, cv, tol, n_cap)
         return renorm * cv * tail, steps, est, conv
 
     results = _run_ordered(
@@ -543,8 +542,7 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap,
     )
 
 
-def sweep_products(sys, w, max_support, tol=1e-12, n_cap=200,
-                   root_tolerance=1e-13):
+def sweep_products(sys, w, max_support, tol=1e-12, n_cap=200):
     """Values g_sigma(w) for every address with support <= max_support.
 
     One batched pass over the padded address tree of the given depth; shared
@@ -559,13 +557,12 @@ def sweep_products(sys, w, max_support, tol=1e-12, n_cap=200,
         raise ValueError("max_support must be nonnegative")
     seeds_v = np.array([w - sys.b], dtype=np.complex128)
     sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0,
-                              tol, n_cap, root_tolerance)
+                              tol, n_cap)
     sweep.anchor = w
     return sweep
 
 
-def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200,
-                         root_tolerance=1e-13):
+def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200):
     """Ladder bases for the degenerate anchor w = b.
 
     Every solution of f(z) = b is either 0 or a^k * base for some k >= 0,
@@ -579,14 +576,13 @@ def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200,
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1 for the degenerate anchor")
-    seeds_v = _expand_level(sys, np.zeros(1, dtype=np.complex128),
-                            root_tolerance)[1:]
+    seeds_v = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
     offset = sys.d ** (max_support - 1)
     return _sweep_from_seeds(sys, seeds_v, max_support - 1, max_support,
-                             offset, tol, n_cap, root_tolerance)
+                             offset, tol, n_cap)
 
 
-def _address_product(sys, digits, v0, tol, n_cap, root_tolerance, label):
+def _address_product(sys, digits, v0, tol, n_cap, label):
     """One address on the sweep kernel, from the start deviation v0.
 
     Each digit expands the single node with _expand_level and keeps the
@@ -599,10 +595,9 @@ def _address_product(sys, digits, v0, tol, n_cap, root_tolerance, label):
                 f"digit {dig} out of range for degree {sys.d}")
     v = np.array([v0], dtype=np.complex128)
     for dig in digits:
-        v = _expand_level(sys, v, root_tolerance)[dig:dig + 1]
+        v = _expand_level(sys, v)[dig:dig + 1]
     prefix = len(digits)
-    tail, steps, est, conv = _tail_products(sys, v, tol, n_cap - prefix,
-                                            root_tolerance)
+    tail, steps, est, conv = _tail_products(sys, v, tol, n_cap - prefix)
     if not conv[0]:
         raise NonConvergence(f"{label}: tail stopping rule unmet after "
                              f"{n_cap} factors")
@@ -618,14 +613,14 @@ def _as_sigma(sigma):
     return SigmaSequence.from_digits(tuple(sigma))
 
 
-def zero_product(sys, sigma, tol=1e-12, n_cap=200, root_tolerance=1e-13):
+def zero_product(sys, sigma, tol=1e-12, n_cap=200):
     """Zero of f addressed by sigma, via the orbit walk started at w = 0."""
     sigma = _as_sigma(sigma)
     return _address_product(sys, sigma.digits, -sys.b, tol, n_cap,
-                            root_tolerance, "zero_product")
+                            "zero_product")
 
 
-def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
+def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200):
     """Solution of f(z) = w addressed by sigma.
 
     The walk starts from the deviation w - b and handles the degenerate
@@ -642,10 +637,10 @@ def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
                                  converged=True)
         v0 = 0j
     return _address_product(sys, sigma.digits, v0, tol, n_cap,
-                            root_tolerance, "inverse_branch")
+                            "inverse_branch")
 
 
-def g0_and_derivative(sys, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
+def g0_and_derivative(sys, w, tol=1e-12, n_cap=200):
     """Principal inverse g_0 and its derivative at w.
 
     g_0(w) is the product of the empty address. Its derivative is
@@ -655,16 +650,14 @@ def g0_and_derivative(sys, w, tol=1e-12, n_cap=200, root_tolerance=1e-13):
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         return 0j, 1.0 + 0j
-    g = _address_product(sys, (), w - sys.b, tol, n_cap, root_tolerance,
-                         "g0").value
+    g = _address_product(sys, (), w - sys.b, tol, n_cap, "g0").value
     slope = complex(_eval_f_with_slope(sys, g, tol=tol)[1])
     if slope == 0:
         raise ZeroDenominator("g0: f' vanishes at g0(w)")
     return g, 1.0 / slope
 
 
-def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500,
-                      root_tolerance=1e-13):
+def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500):
     """Probe principal-orbit convergence on concentric circles.
 
     Samples grid_count points on up to 8 circles of radius up to grid_radius
@@ -694,7 +687,7 @@ def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500,
     for k in range(1, orbit_cap + 1):
         if work.size == 0:
             break
-        v = _principal_step(sys, v, root_tolerance, delta, dV)
+        v = _principal_step(sys, v, delta, dV)
         entered = np.abs(v) < delta
         steps[work[entered]] = k
         work = work[~entered]
@@ -739,8 +732,7 @@ def geometric_tail(c_est, d, a_abs, start_support, m):
     return c_est ** (-m) * q ** start_support / (1.0 - q)
 
 
-def tail_bound(sys, N, m, w=0j, probe_support=6, tol=1e-10, n_cap=200,
-               root_tolerance=1e-13):
+def tail_bound(sys, N, m, w=0j, probe_support=6, tol=1e-10, n_cap=200):
     """Executable bound on sum over support >= N of |g_sigma(w)|^-m.
 
     The floor constant is measured on an enumerated probe sweep (supports up
@@ -755,7 +747,7 @@ def tail_bound(sys, N, m, w=0j, probe_support=6, tol=1e-10, n_cap=200,
                        max(2, int(math.log(50000, sys.d)))))
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
-        sweep = sweep_solutions_at_b(sys, probe, tol, n_cap, root_tolerance)
+        sweep = sweep_solutions_at_b(sys, probe, tol, n_cap)
     else:
-        sweep = sweep_products(sys, w, probe, tol, n_cap, root_tolerance)
+        sweep = sweep_products(sys, w, probe, tol, n_cap)
     return geometric_tail(growth_floor(sweep, a_abs), sys.d, a_abs, N, m)

@@ -28,6 +28,7 @@ csv.writer.
 
 import argparse
 import cmath
+import contextlib
 import csv
 import math
 import sys as _sys
@@ -202,36 +203,25 @@ def _parse_orders(text):
     return orders
 
 
-class _Output:
+@contextlib.contextmanager
+def _output(path):
     """Single-writer sink: a file path or '-' for stdout."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        if self.path == "-":
-            self._fh = None
-            return _sys.stdout
-        self._fh = open(self.path, "w", newline="")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-        return False
+    if path == "-":
+        yield _sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
-def _hypothesis_gate(sys_, spec):
+def _hypothesis_gate(sys_):
     """Run the Hypothesis-1 probe; True when every orbit contracted."""
-    report = check_hypothesis1(sys_, HYPOTHESIS_RADIUS, HYPOTHESIS_COUNT,
-                               root_tolerance=spec.root_tolerance)
-    ok = report.converged_points == report.sampled_points
-    if not ok:
+    report = check_hypothesis1(sys_, HYPOTHESIS_RADIUS, HYPOTHESIS_COUNT)
+    if not report.passed:
         print(
             f"hypothesis probe failed: {report.converged_points}/"
             f"{report.sampled_points} orbits contracted, worst point "
             f"{report.worst_point}", file=_sys.stderr)
-    return ok
+    return report.passed
 
 
 def _solution_table(sys_, spec, w):
@@ -239,8 +229,7 @@ def _solution_table(sys_, spec, w):
     max_support, padded-index order."""
     N = spec.max_support
     d = sys_.d
-    kwargs = dict(tol=spec.product_tolerance, n_cap=spec.n_cap,
-                  root_tolerance=spec.root_tolerance)
+    kwargs = dict(tol=spec.product_tolerance, n_cap=spec.n_cap)
     if abs(w - sys_.b) > W_NEAR_B:
         sweep = sweep_products(sys_, w, N, **kwargs)
         return sweep, [""] * sweep.values.size
@@ -270,16 +259,15 @@ def _solution_table(sys_, spec, w):
 
 def cmd_zeros(spec, args):
     sys_ = system_from_spec(spec)
-    if args.check_hypothesis and not _hypothesis_gate(sys_, spec):
+    if args.check_hypothesis and not _hypothesis_gate(sys_):
         return 3
     sweep = sweep_products(sys_, 0j, spec.max_support,
-                           tol=spec.product_tolerance, n_cap=spec.n_cap,
-                           root_tolerance=spec.root_tolerance)
+                           tol=spec.product_tolerance, n_cap=spec.n_cap)
     all_ok = bool(np.all(sweep.converged))
     header = ["sigma", "re", "im", "terms_used", "tail_estimate"]
     if not all_ok:
         header.append("converged")
-    with _Output(args.output) as fh:
+    with _output(args.output) as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, sweep, flags=not all_ok)
     if args.png is not None:
@@ -316,7 +304,7 @@ def _roundtrip_budget(sys_, spec, w, values, est):
 
 def cmd_invert(spec, args):
     sys_ = system_from_spec(spec)
-    if args.check_hypothesis and not _hypothesis_gate(sys_, spec):
+    if args.check_hypothesis and not _hypothesis_gate(sys_):
         return 3
     if args.circle is not None:
         radius, count = args.circle
@@ -345,7 +333,7 @@ def cmd_invert(spec, args):
               "tail_estimate", "prefactor_exponent"]
     if not all_ok:
         header.append("converged")
-    with _Output(args.output) as fh:
+    with _output(args.output) as fh:
         fh.write(",".join(header) + "\n")
         for w, sweep, pref in blocks:
             _write_rows(fh, sweep, w=w, pref=pref, flags=not all_ok)
@@ -363,10 +351,9 @@ def cmd_moments(spec, args):
     # Every order is summed before the first row, so that an error leaves
     # no partial table behind.
     reports = [moment_sum(sys_, m, args.w, spec.max_support,
-                          tol=spec.product_tolerance, n_cap=spec.n_cap,
-                          root_tolerance=spec.root_tolerance)
+                          tol=spec.product_tolerance, n_cap=spec.n_cap)
                for m in args.m]
-    with _Output(args.output) as fh:
+    with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "shell", "partial_re", "partial_im",
                          "closed_re", "closed_im", "abs_error", "tail_bound"])
@@ -394,10 +381,9 @@ def cmd_wh(spec, args):
     sys_ = system_from_spec(spec)
     samples = np.array(args.z, dtype=np.complex128)
     report = cross_check(sys_, samples, spec.max_support, anchor=args.anchor,
-                         tol=spec.product_tolerance, n_cap=spec.n_cap,
-                         root_tolerance=spec.root_tolerance)
+                         tol=spec.product_tolerance, n_cap=spec.n_cap)
     failed = False
-    with _Output(args.output) as fh:
+    with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z_re", "z_im", "limit_re", "limit_im",
                          "anchored_re", "anchored_im", "ladder_re",
@@ -426,26 +412,23 @@ def cmd_check(spec, args):
     lines = []
     code = 0
 
-    hyp = check_hypothesis1(sys_, HYPOTHESIS_RADIUS, HYPOTHESIS_COUNT,
-                            root_tolerance=spec.root_tolerance)
-    hyp_ok = hyp.converged_points == hyp.sampled_points
+    hyp = check_hypothesis1(sys_, HYPOTHESIS_RADIUS, HYPOTHESIS_COUNT)
     lines.append(
         f"hypothesis1: sampled={hyp.sampled_points} "
         f"converged={hyp.converged_points} "
         f"max_orbit={hyp.max_orbit_length} "
-        f"{'PASS' if hyp_ok else 'FAIL'}")
-    if not hyp_ok:
+        f"{'PASS' if hyp.passed else 'FAIL'}")
+    if not hyp.passed:
         code = 3
 
-    if hyp_ok:
+    if hyp.passed:
         # Deterministic sample ring; radius 2 stays inside every example's
         # comfortable evaluation zone while exercising both half-planes.
         grid = np.array([2.0 * cmath.exp(2j * math.pi * (k + 0.25) / 8) /
                          (1 + k % 3) for k in range(8)])
         report = cross_check(sys_, grid, min(spec.max_support, 12),
                              anchor=args.anchor,
-                             tol=spec.product_tolerance, n_cap=spec.n_cap,
-                             root_tolerance=spec.root_tolerance)
+                             tol=spec.product_tolerance, n_cap=spec.n_cap)
         worst_excess = max(r.max_deviation - (WH_SLACK + r.claimed_budget)
                            for r in report.rows)
         route_ok = worst_excess <= 0
@@ -477,7 +460,7 @@ def cmd_check(spec, args):
         if not (route_ok and rt_ok and eq_ok and taylor_ok):
             code = 2
 
-    with _Output(args.output) as fh:
+    with _output(args.output) as fh:
         for line in lines:
             print(line, file=fh)
     return code

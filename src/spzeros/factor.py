@@ -66,13 +66,13 @@ class WHEvaluation:
 
 
 @lru_cache(maxsize=4)
-def _anchor_sweep(sys, w, max_support, tol, n_cap, root_tolerance):
-    return sweep_products(sys, w, max_support, tol, n_cap, root_tolerance)
+def _anchor_sweep(sys, w, max_support, tol, n_cap):
+    return sweep_products(sys, w, max_support, tol, n_cap)
 
 
 @lru_cache(maxsize=4)
-def _base_sweep(sys, max_support, tol, n_cap, root_tolerance):
-    return sweep_solutions_at_b(sys, max_support, tol, n_cap, root_tolerance)
+def _base_sweep(sys, max_support, tol, n_cap):
+    return sweep_solutions_at_b(sys, max_support, tol, n_cap)
 
 
 def _complex_sum(values):
@@ -111,8 +111,7 @@ def closed_form_momentum(sys, m, w):
     return total
 
 
-def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200,
-               root_tolerance=1e-13):
+def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200):
     """Momentum sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support.
 
     Shell sums are exactly rounded (compensated) and accumulated shell by
@@ -130,7 +129,7 @@ def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200,
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap, root_tolerance)
+    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = ((w - sys.b) / sweep.values) ** m
     if not np.all(np.isfinite(terms)):
@@ -195,8 +194,7 @@ def _geometric_completion(shell_sums, shell_noise, r, tail_bound):
     return remainder, spread + floor
 
 
-def vieta_sums(sys, w, max_support, tol=1e-12, n_cap=200,
-               root_tolerance=1e-13):
+def vieta_sums(sys, w, max_support, tol=1e-12, n_cap=200):
     """First two Viete aggregates of y_sigma = (w - b)/g_sigma(w).
 
     Returns (S1, S2) with S1 = sum y_sigma and S2 = sum over unordered pairs
@@ -205,15 +203,14 @@ def vieta_sums(sys, w, max_support, tol=1e-12, n_cap=200,
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         raise ValueError("Viete sums need an anchor away from the fixed point")
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap, root_tolerance)
+    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
     y = (w - sys.b) / sweep.values
     p1 = _complex_sum(y)
     p2 = _complex_sum(y * y)
     return p1, (p1 * p1 - p2) / 2.0
 
 
-def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200,
-            root_tolerance=1e-13):
+def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200):
     """Evaluate f(z) by its genus-zero product over branch addresses.
 
     For an anchor w != b:  f(z) = w + (b - w) prod (1 - z / g_sigma(w)).
@@ -237,7 +234,7 @@ def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200,
     inv_a = 1.0 / a_abs
 
     if abs(w - sys.b) <= W_NEAR_B:
-        sweep = _base_sweep(sys, max_support, tol, n_cap, root_tolerance)
+        sweep = _base_sweep(sys, max_support, tol, n_cap)
         bases = sweep.values
         g_min = float(np.min(np.abs(bases)))
         # Smallest M with |z| |a|^-(M+1) <= 0.5 tol g_min; rung 0 always runs.
@@ -261,7 +258,7 @@ def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200,
                             factors_used=rungs * bases.size,
                             tail_bound=bound)
 
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap, root_tolerance)
+    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
     prod = _pairwise_product(1.0 - z / sweep.values)
     c_est = growth_floor(sweep, a_abs)
     log_excess = abs(z) * geometric_tail(c_est, sys.d, a_abs,

@@ -33,14 +33,6 @@ class ComplexPolynomial:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def from_coefficients(cls, seq):
-        """Build a polynomial, stripping exact zero padding above the degree."""
-        coeffs = [complex(c) for c in seq]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
     @property
     def degree(self):
         return len(self.coefficients) - 1

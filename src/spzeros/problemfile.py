@@ -5,10 +5,13 @@ A problem file is a JSON object with exactly six keys:
     coefficients       P lowest-degree-first, each entry a [re, im] pair,
                        at least three entries (degree >= 2)
     fixed_point_hint   [re, im] seed for locating the repelling fixed point
-    max_support        address enumeration depth, 0..24, d^depth <= 2^30
+    max_support        address enumeration depth, 0..24, d^depth <= 2^24
     product_tolerance  relative tail target for every infinite product
     n_cap              hard iteration cap per product
-    root_tolerance     residual target for polynomial root extraction
+    root_tolerance     residual target for polynomial root extraction, set
+                       once per system (SPSystem.root_tolerance): it governs
+                       every root solve of the inverse branches of a P that
+                       is not unicritical, contraction_delta's included
 
 Unknown keys are rejected so a typo in a tolerance name cannot silently
 fall back to a default. parse_problem and serialize_problem are inverse
@@ -87,9 +90,12 @@ def check_enumeration_size(degree, max_support):
         raise ValidationError("max_support must be nonnegative")
     if max_support > 24:
         raise ValidationError("max_support must be at most 24")
-    if degree ** max_support > 2 ** 30:
+    # Peak memory grows by about 110 B per row, so 2^24 rows take about
+    # 1.9 GB: depth 24 for d = 2, 15 for d = 3, 12 for d = 4.
+    if degree ** max_support > 2 ** 24:
         raise ValidationError(
-            f"enumeration size {degree}^{max_support} exceeds 2^30")
+            f"enumeration size {degree}^{max_support} exceeds 2^24 rows, "
+            "about 1.9 GB of memory")
 
 
 def parse_problem(text):

@@ -48,6 +48,10 @@ class SPSystem:
     point crit, kappa = b - P(crit) = c_d t_b^d and t_b = b - crit are set
     and the inverse branches have a closed form; for any other P they are
     None.
+
+    root_tolerance is the stopping tolerance of every root solve on this
+    system (the inverse branches of any other P, and the contraction ball's
+    certification); build_system sets it once.
     """
 
     P: ComplexPolynomial
@@ -57,6 +61,7 @@ class SPSystem:
     Q: ComplexPolynomial
     V: ComplexPolynomial
     rho: float
+    root_tolerance: float
     crit: complex = None
     kappa: complex = None
     t_b: complex = None
@@ -102,6 +107,10 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
         Degree d >= 2 polynomial.
     fixed_point_hint : complex
         The fixed point of P nearest this value is selected.
+    root_tolerance : float
+        Stopping tolerance of the root solver: for the fixed points here,
+        and for every later root solve on the system, where it is stored as
+        SPSystem.root_tolerance.
 
     Returns
     -------
@@ -157,7 +166,8 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
     rho = math.log(d) / math.log(abs(a))
     b = complex(b)
     crit = unicritical_point(P)
-    return SPSystem(P=P, b=b, a=complex(a), d=d, Q=Q, V=V, rho=rho, crit=crit,
+    return SPSystem(P=P, b=b, a=complex(a), d=d, Q=Q, V=V, rho=rho,
+                    root_tolerance=root_tolerance, crit=crit,
                     kappa=None if crit is None else b - P.eval(crit),
                     t_b=None if crit is None else b - crit)
 

@@ -148,7 +148,7 @@ class CrossCheckReport:
 
 
 def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
-                tol=1e-12, n_cap=200, root_tolerance=1e-13):
+                tol=1e-12, n_cap=200):
     """Evaluate f at each sample by three routes and round-trip the branches.
 
     Routes: direct functional iteration, the product anchored at `anchor`,
@@ -160,8 +160,7 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
     samples = [complex(z) for z in samples]
     anchors = [z for z in samples if abs(z - sys.b) > 1e-9]
     solutions = [sweep_products(sys, w, roundtrip_support, tol=tol,
-                                n_cap=n_cap,
-                                root_tolerance=root_tolerance).values
+                                n_cap=n_cap).values
                  for w in anchors]
     # One eval_f_batch call for the direct route at every sample and every
     # anchor's round trip: its cost is mostly per call, not per point.
@@ -175,10 +174,8 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
     rows = []
     for z, direct in zip(samples, limits):
         direct = complex(direct)
-        anchored = wh_eval(sys, z, anchor, max_support, tol=tol,
-                           n_cap=n_cap, root_tolerance=root_tolerance)
-        ladder = wh_eval(sys, z, sys.b, max_support, tol=tol,
-                         n_cap=n_cap, root_tolerance=root_tolerance)
+        anchored = wh_eval(sys, z, anchor, max_support, tol=tol, n_cap=n_cap)
+        ladder = wh_eval(sys, z, sys.b, max_support, tol=tol, n_cap=n_cap)
         trio = (direct, anchored.product_value, ladder.product_value)
         deviation = max(abs(x - y) for x in trio for y in trio)
         rows.append(CrossCheckRow(

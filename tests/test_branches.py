@@ -10,6 +10,7 @@ from spzeros import (
     ComplexPolynomial,
     InvalidIndices,
     NonConvergence,
+    ProblemSpec,
     SigmaSequence,
     ValidationError,
     branch_labels,
@@ -25,6 +26,8 @@ from spzeros import (
     principal_branch,
     sweep_products,
     sweep_solutions_at_b,
+    system_from_spec,
+    tail_bound,
     zero_product,
 )
 from spzeros import branches
@@ -387,7 +390,7 @@ def test_principal_step_matches_reference_newton(coeffs, hint):
     delta = contraction_delta(sys)
     dV = sys.V.derivative()
     v = _log_spread_deviations(np.random.default_rng(71), 300, 0.49 * delta)
-    x = branches._principal_step(sys, v, 1e-13, delta, dV)
+    x = branches._principal_step(sys, v, delta, dV)
     want = _reference_inverse(coeffs, hint, v)
     assert np.all(np.abs(x) < np.abs(v))
     assert np.all(np.abs(x - want) <= 1e-14 * np.abs(want))
@@ -414,14 +417,14 @@ def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
     rng = np.random.default_rng(72)
     far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
-    assert np.array_equal(branches._principal_step(sys, far, 1e-13, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, far, delta, dV),
                           _root_solver_route(sys, far))
 
     _flag_every_point_bad(monkeypatch)
     near = rng.uniform(0.0, 0.49 * delta, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
     v = np.concatenate([near, far])
-    assert np.array_equal(branches._principal_step(sys, v, 1e-13, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, v, delta, dV),
                           _root_solver_route(sys, v))
 
 
@@ -442,7 +445,7 @@ def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
     far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
     closed = lambda v: branches._closed_children(sys, v)[:, 0]  # noqa: E731
-    assert np.array_equal(branches._principal_step(sys, far, 1e-13, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, far, delta, dV),
                           closed(far))
     near = _log_spread_deviations(rng, 50, 0.49 * delta)
     want = _reference_inverse(coeffs, hint, near)
@@ -450,8 +453,40 @@ def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
 
     _flag_every_point_bad(monkeypatch)
     v = np.concatenate([near, far])
-    assert np.array_equal(branches._principal_step(sys, v, 1e-13, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, v, delta, dV),
                           closed(v))
+
+
+def test_root_tolerance_reaches_every_root_solve(monkeypatch):
+    # The problem file's root_tolerance is set once on the system; every
+    # root solve of a P that is not unicritical must use it, the
+    # contraction ball's certification included.
+    spec = ProblemSpec(coefficients=(-1 + 0.2j, 0j, 0.3 + 0j, 0j, 1 + 0j),
+                       fixed_point_hint=1.5 + 0j, max_support=3,
+                       product_tolerance=1e-12, n_cap=200,
+                       root_tolerance=1e-9)
+    sys = system_from_spec(spec)
+    assert sys.crit is None and sys.root_tolerance == 1e-9
+    seen = []
+    solve = branches.roots_batch
+
+    def recording(p, w, tolerance):
+        seen.append(tolerance)
+        return solve(p, w, tolerance)
+
+    monkeypatch.setattr(branches, "roots_batch", recording)
+    runs = {
+        "contraction_delta": lambda: contraction_delta.__wrapped__(sys),
+        "sweep_products": lambda: sweep_products(sys, 0j, 2),
+        "sweep_solutions_at_b": lambda: sweep_solutions_at_b(sys, 2),
+        "check_hypothesis1": lambda: check_hypothesis1(sys, 10.0, 16),
+        "zero_product": lambda: zero_product(sys, (1,)),
+        "tail_bound": lambda: tail_bound(sys, 4, 2, probe_support=2),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        run()
+        assert seen and set(seen) == {1e-9}, (name, seen)
 
 
 def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):

@@ -233,9 +233,9 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_oversized_override_refused(capsys):
-    code, _, err = run_cli(["zeros", CUBIC, "--max-support", "19"], capsys)
+    code, _, err = run_cli(["zeros", CUBIC, "--max-support", "16"], capsys)
     assert code == 1
-    assert "2^30" in err
+    assert "2^24" in err
 
 
 @pytest.mark.parametrize("args, edit", [
@@ -295,7 +295,7 @@ def test_help_exit_code(capsys):
 def test_hypothesis_gate_exit_code(monkeypatch, capsys):
     import spzeros.cli as cli
 
-    def failing_probe(sys_, radius, count, root_tolerance):
+    def failing_probe(sys_, radius, count):
         return HypothesisReport(sampled_points=count, converged_points=0,
                                 max_orbit_length=0, worst_point=1j,
                                 passed=False)

@@ -106,13 +106,15 @@ def test_rejects_bad_max_support():
 
 
 def test_rejects_oversized_enumeration():
-    # degree 3 at depth 19 gives 3^19 > 2^30 leaves: refused at parse time.
+    # degree 3 at depth 16 gives 3^16 > 2^24 leaves: refused at parse time.
     text = GOLDEN_TEXT.replace("[[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]",
                                "[[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]")
-    text = text.replace('"max_support": 12', '"max_support": 19')
-    with pytest.raises(ValidationError, match="2\\^30"):
-        parse_problem(text)
-    assert 3**19 > 2**30 and 3**18 <= 2**30
+    with pytest.raises(ValidationError, match="2\\^24"):
+        parse_problem(text.replace('"max_support": 12', '"max_support": 16'))
+    assert 3**16 > 2**24 and 3**15 <= 2**24
+    spec = parse_problem(text.replace('"max_support": 12',
+                                      '"max_support": 15'))
+    assert spec.max_support == 15
 
 
 def test_rejects_bad_tolerances_and_cap():

@@ -12,15 +12,22 @@ output. The count of stderr lines tells a one-line `error:` message from
 a traceback. The last five runs feed the CLI bad input: an anchor whose
 momentum terms overflow, three non-finite values and an anchor with three
 parts, which the argument parser rejects.
+
+The shipped P are all unicritical, so their inverse branches take a closed
+form. GENERAL adds two P that are not, whose branches come from the root
+solver: their problem files are written to a temporary directory, and the
+runs of GENERAL_RUNS name them by file name alone.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,24 +63,66 @@ RUNS = (
     ("invert", "--w=1,2,3"),
 )
 
+# (file name, problem, fixed point b as an --w value). The quartic
+# (-1+0.2i) + 0.3 z^2 + z^4 has a complex b and a; z^3 - z + 1 (b = 1,
+# a = 2) runs at a root_tolerance other than the default 1e-13. Since
+# d = 3 > |a| there, its moments (order 1 diverges) and check (the product
+# form needs d < |a|) end in an error line and exit 2.
+GENERAL = (
+    ("quartic.json",
+     {"coefficients": [[-1.0, 0.2], [0.0, 0.0], [0.3, 0.0], [0.0, 0.0],
+                       [1.0, 0.0]],
+      "fixed_point_hint": [1.5, 0.0], "max_support": 4,
+      "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-13},
+     "1.1524245917662395,-0.03443497606698552"),
+    ("z3-z+1.json",
+     {"coefficients": [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+      "fixed_point_hint": [1.0, 0.0], "max_support": 4,
+      "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-10},
+     "1"),
+)
+# Arguments after the problem path; {b} is the problem's fixed point.
+GENERAL_RUNS = (
+    ("zeros", "--max-support", "5"),
+    ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
+    ("invert", "--max-support", "5", "--w={b}"),
+    ("moments", "--max-support", "5"),
+    ("check", "--max-support", "5"),
+)
+
+
+def _digest(env, argv, shown):
+    """Run the CLI on argv and print its line, with `shown` as arguments."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "spzeros", *argv], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False)
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    print(f"threads={env['SPZEROS_THREADS']} {' '.join(shown)} "
+          f"exit={proc.returncode} "
+          f"stderr_lines={len(proc.stderr.splitlines())} "
+          f"sha256={digest}", flush=True)
+
 
 def main():
     problems = sorted((ROOT / "problems").glob("*.json"))
-    for threads in ("1", "2"):
-        env = dict(os.environ, SPZEROS_THREADS=threads,
-                   PYTHONPATH=str(ROOT / "src"))
-        for command, *rest in RUNS:
-            for problem in problems:
-                argv = [command, str(problem.relative_to(ROOT)), *rest]
-                proc = subprocess.run(
-                    [sys.executable, "-m", "spzeros", *argv], cwd=ROOT,
-                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    check=False)
-                digest = hashlib.sha256(proc.stdout).hexdigest()
-                print(f"threads={threads} {' '.join(argv)} "
-                      f"exit={proc.returncode} "
-                      f"stderr_lines={len(proc.stderr.splitlines())} "
-                      f"sha256={digest}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        general = []
+        for name, problem, b in GENERAL:
+            path = Path(tmp) / name
+            path.write_text(json.dumps(problem))
+            general.append((name, str(path), b))
+        for threads in ("1", "2"):
+            env = dict(os.environ, SPZEROS_THREADS=threads,
+                       PYTHONPATH=str(ROOT / "src"))
+            for command, *rest in RUNS:
+                for problem in problems:
+                    argv = [command, str(problem.relative_to(ROOT)), *rest]
+                    _digest(env, argv, argv)
+            for command, *rest in GENERAL_RUNS:
+                for name, path, b in general:
+                    rest_b = [arg.format(b=b) for arg in rest]
+                    _digest(env, [command, path, *rest_b],
+                            [command, name, *rest_b])
 
 
 if __name__ == "__main__":
