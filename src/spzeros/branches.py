@@ -39,11 +39,17 @@ cancellation exactly at the largest solutions, never happens. One
 function, _children, takes the inverse step for both kinds of P, and one
 tie rule, _branch_order, orders its branches.
 
-In the tail, _principal_step inverts the conjugate polynomial
-V(v) = P(b + v) - b by a checked Newton iteration on deviations inside
-half the contraction ball, which keeps the relative error of v at the
-rounding level no matter how small v gets; beyond it, or where Newton
-fails its check, it takes the principal child of the inverse step above.
+The principal tail is the principal inverse itself: in deviations it is
+the Koenigs linearizer L of V(v) = P(b + v) - b, L(V(v)) = a L(v) with
+L'(0) = 1 (Koenigs 1884), and a leaf v_0 gets the factor L(v_0) / v_0.
+_tail_products takes principal steps until |v_K| is below the series'
+entry radius, then evaluates the truncated Taylor series of L there once:
+L(v_0) = a^K L(v_K). The truncation is bounded by Cauchy's estimate on the
+contraction ball. _principal_step inverts V by a checked Newton iteration
+on deviations inside half the contraction ball, which keeps the relative
+error of v at the rounding level no matter how small v gets; beyond it, or
+where Newton fails its check, it takes the principal child of the inverse
+step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
@@ -74,9 +80,9 @@ from .system import _eval_f_with_slope
 
 # |w - b| at or below this routes through the degenerate-anchor construction.
 W_NEAR_B = 1e-12
-# Tail stopping: factor within tol of 1 and this many consecutive orbit steps
-# inside the certified contraction ball.
-REGION_STREAK = 3
+# Terms l_1 .. l_M kept of the Koenigs series of the principal tail.
+KOENIGS_ORDER = 24
+UNIT_ROUNDOFF = 2.0 ** -53
 # Certified contraction ball: radii 2^-k are tried for k = 1 .. DELTA_MAX_K,
 # sampling DELTA_CIRCLE points per circle against the midpoint ratio.
 DELTA_MAX_K = 40
@@ -128,7 +134,7 @@ class SigmaSequence:
 
 @dataclass(frozen=True)
 class BranchProduct:
-    """Truncated infinite product with an a-posteriori tail estimate."""
+    """Truncated infinite product with its tail series' truncation bound."""
 
     value: complex
     terms_used: int
@@ -383,64 +389,132 @@ def _expand_level(sys, v):
     return _children(sys, v).reshape(-1)
 
 
-def _tail_products(sys, v, tol, n_cap):
-    """Principal-branch tail factors for every deviation, element-wise stopping.
+def _koenigs_coefficients(sys):
+    """Taylor coefficients l_1 .. l_M of the Koenigs linearizer L of V.
 
-    Returns (tail, steps, tail_estimate, converged). An element retires once
-    its current factor is within tol of 1, the orbit has spent
-    REGION_STREAK consecutive steps inside the certified ball, and the
-    geometric estimate |factor - 1| c / (1 - c) is itself at or below tol.
-
-    Each step is one _principal_step on the deviations, and its factor is
-    a v_next / v_prev; inside delta/2, where most steps fall, both carry
-    only rounding error relative to v.
+    L(V(v)) = a L(v) and L'(0) = 1 give, comparing the coefficients of v^m,
+    l_m (a - a^m) = sum_{k<m} l_k [v^m] V(v)^k, with M = KOENIGS_ORDER.
     """
+    M = KOENIGS_ORDER
+    V = np.zeros(M + 1, dtype=np.complex128)
+    V[:min(sys.d, M) + 1] = sys.V.coefficients[:M + 1]
+    powers = [None, V]
+    for _ in range(2, M + 1):
+        powers.append(np.convolve(powers[-1], V)[:M + 1])
+    ell = np.zeros(M + 1, dtype=np.complex128)
+    ell[1] = 1.0
+    for m in range(2, M + 1):
+        acc = sum(ell[k] * powers[k][m] for k in range(1, m))
+        ell[m] = acc / (sys.a - sys.a ** m)
+    return ell[1:]
+
+
+def _series(ell, v):
+    """S(v) = L(v) / v = sum_m l_m v^(m-1), by Horner's rule."""
+    s = np.full(v.shape, ell[-1])
+    for coeff in ell[-2::-1]:
+        s *= v
+        s += coeff
+    return s
+
+
+@lru_cache(maxsize=64)
+def _koenigs_data(sys):
+    """(coefficients, C / delta) of the Koenigs series of sys.
+
+    L is analytic on the contraction ball |v| < delta, so Cauchy's estimate
+    |l_m| <= C delta^-m holds with C the maximum of |L| on |v| = delta.
+    C is sampled on DELTA_CIRCLE points of that circle, each evaluated as
+    a^k L(v_k) after k principal steps bring it inside delta/4, where the
+    truncation is below 4^-M of C and plays no part.
+    """
+    ell = _koenigs_coefficients(sys)
     delta = contraction_delta(sys)
     dV = sys.V.derivative()
-    a_abs = abs(sys.a)
-    c_floor = 1.0 / a_abs
-    c_cert = 0.5 * (1.0 + c_floor)
+    v = delta * np.exp(2j * np.pi * np.arange(DELTA_CIRCLE) / DELTA_CIRCLE)
+    scale = 1.0 + 0j
+    for _ in range(DELTA_MAX_K):
+        if np.max(np.abs(v)) < 0.25 * delta:
+            break
+        v = _principal_step(sys, v, delta, dV)
+        scale *= sys.a
+    return ell, float(np.max(np.abs(scale * v * _series(ell, v)))) / delta
 
-    size = v.size
-    tail = np.ones(size, dtype=np.complex128)
-    steps = np.full(size, 0, dtype=np.int32)
-    est = np.zeros(size, dtype=np.float64)
-    converged = np.zeros(size, dtype=bool)
 
-    work = np.arange(size)
-    cur = v.copy()
-    prevdist = np.abs(cur)
-    streak = np.zeros(size, dtype=np.int16)
-    last_est = np.full(size, np.inf)
+def _series_bound(sys, r):
+    """Relative truncation bound of the Koenigs series at |v| = r.
 
-    for k in range(1, n_cap + 1):
-        nxt = _principal_step(sys, cur, delta, dV)
-        factor = sys.a * nxt / cur
-        tail[work] *= factor
-        dist = np.abs(nxt)
-        streak = np.where(dist < delta, streak + 1, 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(prevdist > 0.0, dist / prevdist, 0.0)
-        c_used = np.clip(ratio, c_floor, c_cert)
-        gap = np.abs(factor - 1.0)
-        cur_est = gap * c_used / (1.0 - c_used)
-        retire = (gap <= tol) & (streak >= REGION_STREAK) & (cur_est <= tol)
-        idx = work[retire]
-        steps[idx] = k
-        est[idx] = cur_est[retire]
-        converged[idx] = True
-        keep = ~retire
-        work = work[keep]
-        cur = nxt[keep]
-        prevdist = dist[keep]
-        streak = streak[keep]
-        last_est = cur_est[keep]
+    With x = r / delta and kappa = C / delta, the dropped terms are at most
+    C x^(M+1) / (1 - x) and |L(v)| >= r - C x^2 / (1 - x), so
+    |L - v S| / |L| <= kappa x^M / (1 - x - kappa x); inf where that
+    denominator is not positive.
+    """
+    kappa = _koenigs_data(sys)[1]
+    x = np.asarray(r, dtype=np.float64) / contraction_delta(sys)
+    room = 1.0 - x - kappa * x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = kappa * x ** KOENIGS_ORDER / room
+    return np.where(room > 0.0, bound, np.inf)
+
+
+@lru_cache(maxsize=256)
+def _series_radius(sys, tol):
+    """Entry radius r_s: the largest r <= delta/2 whose bound is <= tol."""
+    delta = contraction_delta(sys)
+    lo, hi = 0.0, 0.5 * delta
+    if _series_bound(sys, hi) <= tol:
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _series_bound(sys, mid) <= tol:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def relative_error(tail_estimate, terms_used):
+    """Relative error of a product value: its tail series' truncation
+    bound plus one rounding per factor used."""
+    return tail_estimate + terms_used * UNIT_ROUNDOFF
+
+
+def _tail_products(sys, v, tol, n_cap):
+    """The principal tail of every deviation: L(v), the product of its
+    tail factors times v.
+
+    Returns (tail, steps, tail_estimate, converged). Each leaf takes
+    _principal_step until |v_K| < r_s (_series_radius at tol), then one
+    series evaluation: L(v) = a^K L(v_K) = a^K v_K S(v_K). steps counts the
+    factors, K steps and the series. tail_estimate is the series'
+    truncation bound at |v_K|. A leaf still outside the disc after
+    n_cap - 1 steps is flagged unconverged; it takes the series where it
+    stands inside the contraction ball, and beyond it, where the series
+    may diverge, keeps the partial product a^K v_K.
+    """
+    delta = contraction_delta(sys)
+    r_s = _series_radius(sys, tol)
+    dV = sys.V.derivative()
+    last = v.copy()
+    count = np.zeros(v.size, dtype=np.int32)
+    work = np.flatnonzero(~(np.abs(v) < r_s))
+    cur = v[work]
+    for k in range(1, n_cap):
         if work.size == 0:
-            return tail, steps, est, converged
-    # Stragglers at the cap: report the last estimate, flagged unconverged.
-    steps[work] = n_cap
-    est[work] = last_est
-    return tail, steps, est, converged
+            break
+        cur = _principal_step(sys, cur, delta, dV)
+        last[work] = cur
+        count[work] = k
+        out = ~(np.abs(cur) < r_s)
+        work = work[out]
+        cur = cur[out]
+    converged = np.full(v.size, n_cap >= 1)
+    converged[work] = False
+    tail = last.copy()
+    ball = np.abs(last) < delta
+    tail[ball] *= _series(_koenigs_data(sys)[0], last[ball])
+    tail *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
+    return tail, count + 1, _series_bound(sys, np.abs(last)), converged
 
 
 def _supports_from_indices(idx, d, depth):
@@ -498,9 +572,9 @@ class BranchSweep:
 def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
-    The telescoped value of a leaf is a^depth * v_leaf times its tail
-    product, regardless of how the prefix interleaved principal and nonzero
-    digits.
+    The telescoped value of a leaf is a^depth times its principal tail
+    L(v_leaf), regardless of how the prefix interleaved principal and
+    nonzero digits.
     """
     v = seeds_v
     # Serial expansion until one seed subtree fits a chunk.
@@ -511,13 +585,15 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
     group = max(1, CHUNK_LEAVES // leaves_per_seed)
     spans = [(lo, min(lo + group, v.size)) for lo in range(0, v.size, group)]
     renorm = sys.a ** depth
+    # The tail's series data, built once before the chunks share it.
+    _series_radius(sys, tol)
 
     def chunk_task(lo, hi):
         cv = v[lo:hi]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
         tail, steps, est, conv = _tail_products(sys, cv, tol, n_cap)
-        return renorm * cv * tail, steps, est, conv
+        return renorm * tail, steps, est, conv
 
     results = _run_ordered(
         [lambda lo=lo, hi=hi: chunk_task(lo, hi) for lo, hi in spans],
@@ -601,7 +677,7 @@ def _address_product(sys, digits, v0, tol, n_cap, label):
     if not conv[0]:
         raise NonConvergence(f"{label}: tail stopping rule unmet after "
                              f"{n_cap} factors")
-    return BranchProduct(value=complex(sys.a ** prefix * v[0] * tail[0]),
+    return BranchProduct(value=complex(sys.a ** prefix * tail[0]),
                          terms_used=prefix + int(steps[0]),
                          tail_estimate=float(est[0]), converged=True)
 

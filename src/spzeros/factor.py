@@ -17,6 +17,7 @@ from .branches import (
     W_NEAR_B,
     geometric_tail,
     growth_floor,
+    relative_error,
     sweep_products,
     sweep_solutions_at_b,
 )
@@ -26,7 +27,6 @@ from .system import bell_polynomial, taylor_at_zero
 # Number of trailing shell ratios whose drift from d/a^m sizes the error of
 # the geometric tail completion.
 RATIO_WINDOW = 3
-UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,32 @@ def _anchor_sweep(sys, w, max_support, tol, n_cap):
 
 
 @lru_cache(maxsize=4)
+def _support_shells(sys, w, max_support, tol, n_cap):
+    """The anchor sweep and one stable partition of it by support.
+
+    Returns (sweep, order, edges): shell n holds the values at
+    order[edges[n]:edges[n + 1]], in index order.
+    """
+    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
+    order = np.argsort(sweep.support, kind="stable")
+    edges = np.searchsorted(sweep.support[order], np.arange(max_support + 2))
+    return sweep, order, edges.tolist()
+
+
+@lru_cache(maxsize=4)
 def _base_sweep(sys, max_support, tol, n_cap):
     return sweep_solutions_at_b(sys, max_support, tol, n_cap)
 
 
+def _fsum(values):
+    """Exactly rounded sum of a real array; fsum reads the floats of a
+    memoryview faster than numpy scalars or a list."""
+    return math.fsum(memoryview(np.ascontiguousarray(values)))
+
+
 def _complex_sum(values):
     """Exactly rounded complex sum (order independent)."""
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    return complex(_fsum(values.real), _fsum(values.imag))
 
 
 def _pairwise_product(values):
@@ -129,25 +148,25 @@ def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200):
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
+    sweep, order, edges = _support_shells(sys, w, max_support, tol, n_cap)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = ((w - sys.b) / sweep.values) ** m
     if not np.all(np.isfinite(terms)):
         raise ValidationError(
             f"momentum terms of order {m} overflow at anchor w = {w}")
-    # A relative error e in g_sigma moves its term by about m e |term|; e is
-    # the product's tail estimate (doubled: it estimates, not bounds, the
-    # dropped tail) plus the rounding of its terms_used factors.
-    noise = m * np.abs(terms) * (2.0 * sweep.tail_estimate
-                                 + sweep.terms_used * UNIT_ROUNDOFF)
+    # A relative error e in g_sigma moves its term by about m e |term|.
+    noise = m * np.abs(terms) * relative_error(sweep.tail_estimate,
+                                               sweep.terms_used)
+    terms = terms[order]
+    noise = noise[order]
     running = 0j
     shells = []
     shell_sums = []
     shell_noise = []
     for support in range(max_support + 1):
-        mask = sweep.support == support
-        shell_sums.append(_complex_sum(terms[mask]))
-        shell_noise.append(math.fsum(noise[mask]))
+        lo, hi = edges[support], edges[support + 1]
+        shell_sums.append(_complex_sum(terms[lo:hi]))
+        shell_noise.append(_fsum(noise[lo:hi]))
         running = running + shell_sums[-1]
         shells.append((support, running))
     c_est = growth_floor(sweep, a_abs)

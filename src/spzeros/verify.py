@@ -148,14 +148,15 @@ class CrossCheckReport:
 
 
 def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
-                tol=1e-12, n_cap=200):
+                tol=1e-12, n_cap=200, products=True):
     """Evaluate f at each sample by three routes and round-trip the branches.
 
     Routes: direct functional iteration, the product anchored at `anchor`,
     and the fixed-point ladder product. The round-trip leg treats each sample
     as an anchor w (skipping w near b), inverts f through every address of
     support <= roundtrip_support, and confirms f(g_sigma(w)) = w by direct
-    iteration.
+    iteration. With products False only the round trips run (the product
+    routes need d < |a|), and rows is empty.
     """
     samples = [complex(z) for z in samples]
     anchors = [z for z in samples if abs(z - sys.b) > 1e-9]
@@ -172,7 +173,7 @@ def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
                   for w, part in zip(anchors, back)]
 
     rows = []
-    for z, direct in zip(samples, limits):
+    for z, direct in zip(samples if products else (), limits):
         direct = complex(direct)
         anchored = wh_eval(sys, z, anchor, max_support, tol=tol, n_cap=n_cap)
         ladder = wh_eval(sys, z, sys.b, max_support, tol=tol, n_cap=n_cap)

@@ -567,3 +567,47 @@ def test_chebyshev_critical_anchor_oracle():
     assert np.all(np.abs(sweep.values - want) <= 1e-12 * np.abs(want))
     assert np.array_equal(np.bincount(k.astype(np.int64)),
                           np.full(512, 2))
+
+
+# The principal tail of Chebyshev in deviations is its Koenigs linearizer,
+# known exactly: L(v) = g_0(1 + v) = -arccos(1 + v)^2 / 2.
+def _chebyshev_linearizer(mpmath, v):
+    return -mpmath.acos(1 + v) ** 2 / 2
+
+
+def test_koenigs_coefficients_match_chebyshev_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    ell = branches._koenigs_data(chebyshev_system())[0]
+    assert ell.size == branches.KOENIGS_ORDER
+    with mpmath.workdps(30):
+        want = mpmath.taylor(lambda v: _chebyshev_linearizer(mpmath, v), 0,
+                             branches.KOENIGS_ORDER)
+    for m, got in enumerate(ell, start=1):
+        ref = complex(want[m])
+        assert abs(got - ref) <= 1e-13 * abs(ref), m
+
+
+def test_series_truncation_bound_holds_on_chebyshev_oracle():
+    # At tol 1e-8 the series is entered at a radius where the bound, not
+    # the rounding, sets tail_estimate; on that circle the truncated series
+    # must stay within tail_estimate |L(v)| of the exact L(v).
+    mpmath = pytest.importorskip("mpmath")
+    sys = chebyshev_system()
+    tol = 1e-8
+    r_s = branches._series_radius(sys, tol)
+    assert 0.0 < r_s < 0.5 * contraction_delta(sys)
+    v = r_s * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    est = float(branches._series_bound(sys, r_s))
+    assert 0.0 < est <= tol
+    # A leaf just inside the circle takes the series at once: one factor,
+    # with the bound at its own radius as tail_estimate.
+    inner = v * (1.0 - 1e-9)
+    with mpmath.workdps(30):
+        exact, exact_inner = (
+            np.array([complex(_chebyshev_linearizer(mpmath, mpmath.mpc(x)))
+                      for x in pts.tolist()]) for pts in (v, inner))
+    series = v * branches._series(branches._koenigs_data(sys)[0], v)
+    assert np.all(np.abs(series - exact) <= est * np.abs(exact))
+    tail, steps, tail_est, conv = branches._tail_products(sys, inner, tol, 5)
+    assert conv.all() and np.all(steps == 1) and np.all(tail_est <= est)
+    assert np.all(np.abs(tail - exact_inner) <= tail_est * np.abs(exact_inner))

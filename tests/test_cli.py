@@ -204,6 +204,26 @@ def test_check_all_shipped_problems(capsys):
         assert code == 0, out
 
 
+def test_check_skips_product_routes_when_d_exceeds_a(tmp_path, capsys):
+    # z^3 - z + 1 at b = 1 has d = 3 >= |a| = 2: the product form does not
+    # converge, so three_routes is skipped and every other check still runs.
+    problem = tmp_path / "z3-z+1.json"
+    problem.write_text(json.dumps({
+        "coefficients": [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        "fixed_point_hint": [1.0, 0.0], "max_support": 4,
+        "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-10}))
+    code, out, err = run_cli(["check", str(problem), "--max-support", "5"],
+                             capsys)
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "hypothesis1", "three_routes", "roundtrip", "functional_equation",
+        "taylor_d2"]
+    assert lines[1] == ("three_routes: SKIP (product form needs d < |a|, "
+                        "got d = 3, |a| = 2.000000)")
+    assert all(ln.endswith("PASS") for ln in lines[:1] + lines[2:])
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"coefficients": [[1, 0]')
@@ -340,20 +360,30 @@ def test_output_file_writing(tmp_path, capsys):
     assert text.count("\r") == 0  # unix line endings regardless of platform
 
 
-def test_zeros_converged_column(capsys):
-    # At tol 1e-17 some tails reach n_cap; those rows, and only those, are
-    # flagged, and the run exits 2.
+def test_zeros_converged_column(tmp_path, capsys):
+    # With n_cap = 2 a tail may take one principal step before its series;
+    # the 165 of 256 depth-8 leaves that need more are flagged, and only
+    # those, and the run exits 2.
+    problem = json.loads(Path(CHEB).read_text())
+    problem["n_cap"] = n_cap = 2
+    capped_file = tmp_path / "capped.json"
+    capped_file.write_text(json.dumps(problem))
     code, out, _ = run_cli(
-        ["zeros", CHEB, "--max-support", "8", "--tol", "1e-17"], capsys)
+        ["zeros", str(capped_file), "--max-support", "8"], capsys)
     assert code == 2
     header, rows = read_csv(out)
     assert header[-1] == "converged"
     assert len(rows) == 2 ** 8
     assert {r[-1] for r in rows} == {"true", "false"}
-    n_cap = json.loads(Path(CHEB).read_text())["n_cap"]
     capped = [r[-1] == "false" for r in rows]
-    assert capped == [int(r[3]) == n_cap + 8 for r in rows]
-    assert sum(capped) == 35
+    # A converged row may use all n_cap factors too, so capped rows are
+    # told apart by the uncapped run: they are the rows that need more.
+    assert all(int(r[3]) == n_cap + 8 for r, c in zip(rows, capped) if c)
+    code, out, _ = run_cli(["zeros", CHEB, "--max-support", "8"], capsys)
+    assert code == 0
+    _, full = read_csv(out)
+    assert capped == [int(r[3]) > n_cap + 8 for r in full]
+    assert sum(capped) == 165
 
 
 def _run_subprocess(args, threads):

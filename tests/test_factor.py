@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spzeros import branches
 from spzeros import (
     ComplexPolynomial,
     DivergentMoment,
@@ -186,3 +187,29 @@ def test_wh_eval_needs_subexponential_zero_counting():
     sys = build_system(ComplexPolynomial((1 + 0j, -1 + 0j, 0j, 1 + 0j)), 1.0)
     with pytest.raises(OrderTooLarge):
         wh_eval(sys, 0.5 + 0j, sys.b, 8)
+
+
+def test_moment_sum_shells_match_per_mask_sums():
+    # The shells come from one stable partition by support; fsum is exactly
+    # rounded, so each shell sum and noise must equal, bit for bit, the
+    # per-order boolean-mask sums they replace.
+    sys = golden_system()
+    depth = 10
+    sweep = branches.sweep_products(sys, 0j, depth)
+    rel = branches.relative_error(sweep.tail_estimate, sweep.terms_used)
+    for m in (1, 2, 3):
+        rep = moment_sum(sys, m, 0j, depth)
+        terms = ((0j - sys.b) / sweep.values) ** m
+        noise = m * np.abs(terms) * rel
+        running = 0j
+        sums, noises = [], []
+        for support, (shell, partial) in enumerate(rep.shells):
+            mask = sweep.support == support
+            sums.append(complex(math.fsum(terms[mask].real),
+                                math.fsum(terms[mask].imag)))
+            noises.append(math.fsum(noise[mask]))
+            running = running + sums[-1]
+            assert shell == support and partial == running
+        _, error = _geometric_completion(sums, noises, sys.d * sys.a ** (-m),
+                                         rep.tail_bound)
+        assert rep.extrapolation_error == error

@@ -15,8 +15,9 @@ parts, which the argument parser rejects.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
-solver: their problem files are written to a temporary directory, and the
-runs of GENERAL_RUNS name them by file name alone.
+solver, and Chebyshev at n_cap 2, whose tails stop at the cap: their
+problem files are written to a temporary directory, and the runs of
+GENERAL_RUNS name them by file name alone.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
@@ -39,9 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # critical value 1 of Chebyshev's f, so every row's slope f'(g) is small;
 # w = 1 is that critical value itself, where solutions are double. The
 # anchor 1e20 has inverse branches of size 1e10 at the first step. At
-# tol 1e-17 some tails reach n_cap, which adds the converged column. The
-# support-9 runs cross a block of the row writer: 19,683 zeros of cubic6,
-# and a circle whose w = b ladder table alone has 19,682 rows.
+# tol 1e-17 the tail series is entered at a smaller radius, after more
+# steps; no shipped P reaches n_cap there (chebyshev-ncap2.json of GENERAL
+# does, which adds the converged column). The support-9 runs cross a block
+# of the row writer: 19,683 zeros of cubic6, and a circle whose w = b
+# ladder table alone has 19,682 rows.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -66,8 +69,10 @@ RUNS = (
 # (file name, problem, fixed point b as an --w value). The quartic
 # (-1+0.2i) + 0.3 z^2 + z^4 has a complex b and a; z^3 - z + 1 (b = 1,
 # a = 2) runs at a root_tolerance other than the default 1e-13. Since
-# d = 3 > |a| there, its moments (order 1 diverges) and check (the product
-# form needs d < |a|) end in an error line and exit 2.
+# d = 3 > |a| there, its moments end in an error line and exit 2 (order 1
+# diverges), and check skips its product routes. chebyshev-ncap2.json is
+# chebyshev2.json with n_cap 2: a tail may take one principal step before
+# its series, so deeper leaves are flagged in the converged column.
 GENERAL = (
     ("quartic.json",
      {"coefficients": [[-1.0, 0.2], [0.0, 0.0], [0.3, 0.0], [0.0, 0.0],
@@ -79,6 +84,11 @@ GENERAL = (
      {"coefficients": [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
       "fixed_point_hint": [1.0, 0.0], "max_support": 4,
       "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-10},
+     "1"),
+    ("chebyshev-ncap2.json",
+     {"coefficients": [[-1.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+      "fixed_point_hint": [1.0, 0.0], "max_support": 12,
+      "product_tolerance": 1e-12, "n_cap": 2, "root_tolerance": 1e-13},
      "1"),
 )
 # Arguments after the problem path; {b} is the problem's fixed point.
