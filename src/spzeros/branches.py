@@ -54,8 +54,9 @@ step above.
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
 inverse_branch, g0_and_derivative) run it on a one-node array, and their
-n_cap counts prefix and tail factors together. The derivative of the
-principal inverse is g_0'(w) = 1 / f'(g_0(w)).
+n_cap counts prefix and tail factors together. Every product reads its
+truncation settings, sys.product_tolerance and sys.n_cap, from the system.
+The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 """
 
 import math
@@ -418,15 +419,31 @@ def _series(ell, v):
     return s
 
 
+def _series_bound(kappa, delta, r):
+    """Relative truncation bound of the Koenigs series at |v| = r.
+
+    With x = r / delta and kappa = C / delta, the dropped terms are at most
+    C x^(M+1) / (1 - x) and |L(v)| >= r - C x^2 / (1 - x), so
+    |L - v S| / |L| <= kappa x^M / (1 - x - kappa x); inf where that
+    denominator is not positive.
+    """
+    x = np.asarray(r, dtype=np.float64) / delta
+    room = 1.0 - x - kappa * x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = kappa * x ** KOENIGS_ORDER / room
+    return np.where(room > 0.0, bound, np.inf)
+
+
 @lru_cache(maxsize=64)
 def _koenigs_data(sys):
-    """(coefficients, C / delta) of the Koenigs series of sys.
+    """(coefficients, kappa = C / delta, r_s) of the Koenigs series of sys.
 
     L is analytic on the contraction ball |v| < delta, so Cauchy's estimate
     |l_m| <= C delta^-m holds with C the maximum of |L| on |v| = delta.
     C is sampled on DELTA_CIRCLE points of that circle, each evaluated as
     a^k L(v_k) after k principal steps bring it inside delta/4, where the
-    truncation is below 4^-M of C and plays no part.
+    truncation is below 4^-M of C and plays no part. The entry radius r_s
+    is the largest r <= delta/2 with _series_bound <= product_tolerance.
     """
     ell = _koenigs_coefficients(sys)
     delta = contraction_delta(sys)
@@ -438,39 +455,18 @@ def _koenigs_data(sys):
             break
         v = _principal_step(sys, v, delta, dV)
         scale *= sys.a
-    return ell, float(np.max(np.abs(scale * v * _series(ell, v)))) / delta
+    kappa = float(np.max(np.abs(scale * v * _series(ell, v)))) / delta
 
-
-def _series_bound(sys, r):
-    """Relative truncation bound of the Koenigs series at |v| = r.
-
-    With x = r / delta and kappa = C / delta, the dropped terms are at most
-    C x^(M+1) / (1 - x) and |L(v)| >= r - C x^2 / (1 - x), so
-    |L - v S| / |L| <= kappa x^M / (1 - x - kappa x); inf where that
-    denominator is not positive.
-    """
-    kappa = _koenigs_data(sys)[1]
-    x = np.asarray(r, dtype=np.float64) / contraction_delta(sys)
-    room = 1.0 - x - kappa * x
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bound = kappa * x ** KOENIGS_ORDER / room
-    return np.where(room > 0.0, bound, np.inf)
-
-
-@lru_cache(maxsize=256)
-def _series_radius(sys, tol):
-    """Entry radius r_s: the largest r <= delta/2 whose bound is <= tol."""
-    delta = contraction_delta(sys)
     lo, hi = 0.0, 0.5 * delta
-    if _series_bound(sys, hi) <= tol:
-        return hi
+    if _series_bound(kappa, delta, hi) <= sys.product_tolerance:
+        return ell, kappa, hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _series_bound(sys, mid) <= tol:
+        if _series_bound(kappa, delta, mid) <= sys.product_tolerance:
             lo = mid
         else:
             hi = mid
-    return lo
+    return ell, kappa, lo
 
 
 def relative_error(tail_estimate, terms_used):
@@ -479,27 +475,28 @@ def relative_error(tail_estimate, terms_used):
     return tail_estimate + terms_used * UNIT_ROUNDOFF
 
 
-def _tail_products(sys, v, tol, n_cap):
+def _tail_products(sys, v, cap):
     """The principal tail of every deviation: L(v), the product of its
     tail factors times v.
 
     Returns (tail, steps, tail_estimate, converged). Each leaf takes
-    _principal_step until |v_K| < r_s (_series_radius at tol), then one
-    series evaluation: L(v) = a^K L(v_K) = a^K v_K S(v_K). steps counts the
+    _principal_step until |v_K| < r_s (_koenigs_data), then one series
+    evaluation: L(v) = a^K L(v_K) = a^K v_K S(v_K). steps counts the
     factors, K steps and the series. tail_estimate is the series'
-    truncation bound at |v_K|. A leaf still outside the disc after
-    n_cap - 1 steps is flagged unconverged; it takes the series where it
-    stands inside the contraction ball, and beyond it, where the series
-    may diverge, keeps the partial product a^K v_K.
+    truncation bound at |v_K|. A leaf still outside the disc after cap - 1
+    steps (cap: sys.n_cap less any digit prefix) is flagged unconverged; it
+    takes the series where it stands inside the contraction ball, and
+    beyond it, where the series may diverge, keeps the partial product
+    a^K v_K.
     """
     delta = contraction_delta(sys)
-    r_s = _series_radius(sys, tol)
+    ell, kappa, r_s = _koenigs_data(sys)
     dV = sys.V.derivative()
     last = v.copy()
     count = np.zeros(v.size, dtype=np.int32)
     work = np.flatnonzero(~(np.abs(v) < r_s))
     cur = v[work]
-    for k in range(1, n_cap):
+    for k in range(1, cap):
         if work.size == 0:
             break
         cur = _principal_step(sys, cur, delta, dV)
@@ -508,13 +505,14 @@ def _tail_products(sys, v, tol, n_cap):
         out = ~(np.abs(cur) < r_s)
         work = work[out]
         cur = cur[out]
-    converged = np.full(v.size, n_cap >= 1)
+    converged = np.full(v.size, cap >= 1)
     converged[work] = False
     tail = last.copy()
     ball = np.abs(last) < delta
-    tail[ball] *= _series(_koenigs_data(sys)[0], last[ball])
+    tail[ball] *= _series(ell, last[ball])
     tail *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
-    return tail, count + 1, _series_bound(sys, np.abs(last)), converged
+    return (tail, count + 1, _series_bound(kappa, delta, np.abs(last)),
+            converged)
 
 
 def _supports_from_indices(idx, d, depth):
@@ -569,7 +567,7 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
+def _sweep_from_seeds(sys, seeds_v, levels, depth, offset):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
     The telescoped value of a leaf is a^depth times its principal tail
@@ -586,13 +584,13 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
     spans = [(lo, min(lo + group, v.size)) for lo in range(0, v.size, group)]
     renorm = sys.a ** depth
     # The tail's series data, built once before the chunks share it.
-    _series_radius(sys, tol)
+    _koenigs_data(sys)
 
     def chunk_task(lo, hi):
         cv = v[lo:hi]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
-        tail, steps, est, conv = _tail_products(sys, cv, tol, n_cap)
+        tail, steps, est, conv = _tail_products(sys, cv, sys.n_cap)
         return renorm * tail, steps, est, conv
 
     results = _run_ordered(
@@ -618,7 +616,7 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, tol, n_cap):
     )
 
 
-def sweep_products(sys, w, max_support, tol=1e-12, n_cap=200):
+def sweep_products(sys, w, max_support):
     """Values g_sigma(w) for every address with support <= max_support.
 
     One batched pass over the padded address tree of the given depth; shared
@@ -632,13 +630,12 @@ def sweep_products(sys, w, max_support, tol=1e-12, n_cap=200):
     if max_support < 0:
         raise ValueError("max_support must be nonnegative")
     seeds_v = np.array([w - sys.b], dtype=np.complex128)
-    sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0,
-                              tol, n_cap)
+    sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0)
     sweep.anchor = w
     return sweep
 
 
-def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200):
+def sweep_solutions_at_b(sys, max_support):
     """Ladder bases for the degenerate anchor w = b.
 
     Every solution of f(z) = b is either 0 or a^k * base for some k >= 0,
@@ -655,15 +652,15 @@ def sweep_solutions_at_b(sys, max_support, tol=1e-12, n_cap=200):
     seeds_v = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
     offset = sys.d ** (max_support - 1)
     return _sweep_from_seeds(sys, seeds_v, max_support - 1, max_support,
-                             offset, tol, n_cap)
+                             offset)
 
 
-def _address_product(sys, digits, v0, tol, n_cap, label):
+def _address_product(sys, digits, v0, label):
     """One address on the sweep kernel, from the start deviation v0.
 
     Each digit expands the single node with _expand_level and keeps the
-    child it names; the principal tail then gets the factors of n_cap the
-    prefix left over, so n_cap counts prefix and tail factors together.
+    child it names; the principal tail then gets the factors of sys.n_cap
+    the prefix left over, so n_cap counts prefix and tail factors together.
     """
     for dig in digits:
         if dig >= sys.d:
@@ -673,10 +670,10 @@ def _address_product(sys, digits, v0, tol, n_cap, label):
     for dig in digits:
         v = _expand_level(sys, v)[dig:dig + 1]
     prefix = len(digits)
-    tail, steps, est, conv = _tail_products(sys, v, tol, n_cap - prefix)
+    tail, steps, est, conv = _tail_products(sys, v, sys.n_cap - prefix)
     if not conv[0]:
         raise NonConvergence(f"{label}: tail stopping rule unmet after "
-                             f"{n_cap} factors")
+                             f"{sys.n_cap} factors")
     return BranchProduct(value=complex(sys.a ** prefix * tail[0]),
                          terms_used=prefix + int(steps[0]),
                          tail_estimate=float(est[0]), converged=True)
@@ -689,14 +686,13 @@ def _as_sigma(sigma):
     return SigmaSequence.from_digits(tuple(sigma))
 
 
-def zero_product(sys, sigma, tol=1e-12, n_cap=200):
+def zero_product(sys, sigma):
     """Zero of f addressed by sigma, via the orbit walk started at w = 0."""
     sigma = _as_sigma(sigma)
-    return _address_product(sys, sigma.digits, -sys.b, tol, n_cap,
-                            "zero_product")
+    return _address_product(sys, sigma.digits, -sys.b, "zero_product")
 
 
-def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200):
+def inverse_branch(sys, sigma, w):
     """Solution of f(z) = w addressed by sigma.
 
     The walk starts from the deviation w - b and handles the degenerate
@@ -712,11 +708,10 @@ def inverse_branch(sys, sigma, w, tol=1e-12, n_cap=200):
             return BranchProduct(value=0j, terms_used=0, tail_estimate=0.0,
                                  converged=True)
         v0 = 0j
-    return _address_product(sys, sigma.digits, v0, tol, n_cap,
-                            "inverse_branch")
+    return _address_product(sys, sigma.digits, v0, "inverse_branch")
 
 
-def g0_and_derivative(sys, w, tol=1e-12, n_cap=200):
+def g0_and_derivative(sys, w):
     """Principal inverse g_0 and its derivative at w.
 
     g_0(w) is the product of the empty address. Its derivative is
@@ -726,8 +721,8 @@ def g0_and_derivative(sys, w, tol=1e-12, n_cap=200):
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         return 0j, 1.0 + 0j
-    g = _address_product(sys, (), w - sys.b, tol, n_cap, "g0").value
-    slope = complex(_eval_f_with_slope(sys, g, tol=tol)[1])
+    g = _address_product(sys, (), w - sys.b, "g0").value
+    slope = complex(_eval_f_with_slope(sys, g)[1])
     if slope == 0:
         raise ZeroDenominator("g0: f' vanishes at g0(w)")
     return g, 1.0 / slope
@@ -808,7 +803,7 @@ def geometric_tail(c_est, d, a_abs, start_support, m):
     return c_est ** (-m) * q ** start_support / (1.0 - q)
 
 
-def tail_bound(sys, N, m, w=0j, probe_support=6, tol=1e-10, n_cap=200):
+def tail_bound(sys, N, m, w=0j, probe_support=6):
     """Executable bound on sum over support >= N of |g_sigma(w)|^-m.
 
     The floor constant is measured on an enumerated probe sweep (supports up
@@ -823,7 +818,7 @@ def tail_bound(sys, N, m, w=0j, probe_support=6, tol=1e-10, n_cap=200):
                        max(2, int(math.log(50000, sys.d)))))
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
-        sweep = sweep_solutions_at_b(sys, probe, tol, n_cap)
+        sweep = sweep_solutions_at_b(sys, probe)
     else:
-        sweep = sweep_products(sys, w, probe, tol, n_cap)
+        sweep = sweep_products(sys, w, probe)
     return geometric_tail(growth_floor(sweep, a_abs), sys.d, a_abs, N, m)

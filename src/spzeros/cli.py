@@ -46,7 +46,7 @@ from .branches import (
     sweep_solutions_at_b,
 )
 from .errors import ParseError, SPZerosError, ValidationError
-from .factor import closed_form_momentum, moment_sum
+from .factor import moment_sum
 from .pngwriter import scatter_png
 from .problemfile import (
     ProblemSpec,
@@ -233,9 +233,8 @@ def _solution_table(sys_, spec, w):
     max_support, padded-index order."""
     N = spec.max_support
     d = sys_.d
-    kwargs = dict(tol=spec.product_tolerance, n_cap=spec.n_cap)
     if abs(w - sys_.b) > W_NEAR_B:
-        sweep = sweep_products(sys_, w, N, **kwargs)
+        sweep = sweep_products(sys_, w, N)
         return sweep, [""] * sweep.values.size
     # Degenerate anchor: index segment [d^(K-1), d^K) holds the addresses
     # with exactly N - K leading zeros; their values are a^(N-K) times the
@@ -247,7 +246,7 @@ def _solution_table(sys_, spec, w):
     conv = np.ones(size, dtype=bool)
     pref = [""] * size
     for K in range(1, N + 1):
-        sw = sweep_solutions_at_b(sys_, K, **kwargs)
+        sw = sweep_solutions_at_b(sys_, K)
         lo, hi = d ** (K - 1), d ** K
         values[lo:hi] = sys_.a ** (N - K) * sw.values
         terms[lo:hi] = sw.terms_used
@@ -265,8 +264,7 @@ def cmd_zeros(spec, args):
     sys_ = system_from_spec(spec)
     if args.check_hypothesis and not _hypothesis_gate(sys_):
         return 3
-    sweep = sweep_products(sys_, 0j, spec.max_support,
-                           tol=spec.product_tolerance, n_cap=spec.n_cap)
+    sweep = sweep_products(sys_, 0j, spec.max_support)
     all_ok = bool(np.all(sweep.converged))
     header = ["sigma", "re", "im", "terms_used", "tail_estimate"]
     if not all_ok:
@@ -288,7 +286,7 @@ def _default_png_path(output):
         else output[:-4] + ".png"
 
 
-def _roundtrip_budget(sys_, spec, w, sweep):
+def _roundtrip_budget(sys_, w, sweep):
     """Round-trip violations |f(g) - w| with per-row error budgets.
 
     Each solution g carries a relative error rel (relative_error: its tail
@@ -301,8 +299,7 @@ def _roundtrip_budget(sys_, spec, w, sweep):
     the slope vanishes.
     """
     g = sweep.values
-    back, slope = _eval_f_with_slope(sys_, g, tol=spec.product_tolerance,
-                                     n_max=spec.n_cap)
+    back, slope = _eval_f_with_slope(sys_, g)
     violation = np.abs(back - w)
     rel = relative_error(sweep.tail_estimate, sweep.terms_used)
     budget = ROUNDTRIP_TOL + SLOPE_SLACK * np.abs(slope) * np.abs(g) * rel
@@ -327,7 +324,7 @@ def cmd_invert(spec, args):
         sweep, pref = _solution_table(sys_, spec, w)
         all_ok = all_ok and bool(np.all(sweep.converged))
         if args.verify:
-            violation, budget = _roundtrip_budget(sys_, spec, w, sweep)
+            violation, budget = _roundtrip_budget(sys_, w, sweep)
             j = int(np.argmax(violation - budget))
             excess = float(violation[j] - budget[j])
             if worst_excess is None or excess > worst_excess[0]:
@@ -356,15 +353,13 @@ def cmd_moments(spec, args):
     failed = False
     # Every order is summed before the first row, so that an error leaves
     # no partial table behind.
-    reports = [moment_sum(sys_, m, args.w, spec.max_support,
-                          tol=spec.product_tolerance, n_cap=spec.n_cap)
-               for m in args.m]
+    reports = [moment_sum(sys_, m, args.w, spec.max_support) for m in args.m]
     with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["m", "shell", "partial_re", "partial_im",
                          "closed_re", "closed_im", "abs_error", "tail_bound"])
         for m, report in zip(args.m, reports):
-            closed = closed_form_momentum(sys_, m, args.w)
+            closed = report.closed_form_rhs
             for support, partial in report.shells:
                 writer.writerow([
                     str(m), str(support),
@@ -386,8 +381,7 @@ def cmd_moments(spec, args):
 def cmd_wh(spec, args):
     sys_ = system_from_spec(spec)
     samples = np.array(args.z, dtype=np.complex128)
-    report = cross_check(sys_, samples, spec.max_support, anchor=args.anchor,
-                         tol=spec.product_tolerance, n_cap=spec.n_cap)
+    report = cross_check(sys_, samples, spec.max_support, anchor=args.anchor)
     failed = False
     with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -434,9 +428,7 @@ def cmd_check(spec, args):
                          (1 + k % 3) for k in range(8)])
         products = sys_.d < abs(sys_.a)
         report = cross_check(sys_, grid, min(spec.max_support, 12),
-                             anchor=args.anchor,
-                             tol=spec.product_tolerance, n_cap=spec.n_cap,
-                             products=products)
+                             anchor=args.anchor, products=products)
         if products:
             worst_excess = max(r.max_deviation - (WH_SLACK + r.claimed_budget)
                                for r in report.rows)
@@ -453,8 +445,8 @@ def cmd_check(spec, args):
         lines.append(f"roundtrip: worst={report.worst_roundtrip:.3e} "
                      f"{'PASS' if rt_ok else 'FAIL'}")
 
-        fz = eval_f_batch(sys_, grid, tol=spec.product_tolerance)
-        faz = eval_f_batch(sys_, sys_.a * grid, tol=spec.product_tolerance)
+        fz = eval_f_batch(sys_, grid)
+        faz = eval_f_batch(sys_, sys_.a * grid)
         resid = float(np.max(np.abs(faz - sys_.P.eval_array(fz))))
         scale = float(np.max(np.maximum(1.0, np.abs(faz))))
         eq_ok = resid <= 1e-9 * scale

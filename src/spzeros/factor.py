@@ -66,26 +66,26 @@ class WHEvaluation:
 
 
 @lru_cache(maxsize=4)
-def _anchor_sweep(sys, w, max_support, tol, n_cap):
-    return sweep_products(sys, w, max_support, tol, n_cap)
+def _anchor_sweep(sys, w, max_support):
+    return sweep_products(sys, w, max_support)
 
 
 @lru_cache(maxsize=4)
-def _support_shells(sys, w, max_support, tol, n_cap):
+def _support_shells(sys, w, max_support):
     """The anchor sweep and one stable partition of it by support.
 
     Returns (sweep, order, edges): shell n holds the values at
     order[edges[n]:edges[n + 1]], in index order.
     """
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
+    sweep = _anchor_sweep(sys, w, max_support)
     order = np.argsort(sweep.support, kind="stable")
     edges = np.searchsorted(sweep.support[order], np.arange(max_support + 2))
     return sweep, order, edges.tolist()
 
 
 @lru_cache(maxsize=4)
-def _base_sweep(sys, max_support, tol, n_cap):
-    return sweep_solutions_at_b(sys, max_support, tol, n_cap)
+def _base_sweep(sys, max_support):
+    return sweep_solutions_at_b(sys, max_support)
 
 
 def _fsum(values):
@@ -130,7 +130,7 @@ def closed_form_momentum(sys, m, w):
     return total
 
 
-def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200):
+def moment_sum(sys, m, w, max_support):
     """Momentum sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support.
 
     Shell sums are exactly rounded (compensated) and accumulated shell by
@@ -148,7 +148,7 @@ def moment_sum(sys, m, w, max_support, tol=1e-12, n_cap=200):
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
-    sweep, order, edges = _support_shells(sys, w, max_support, tol, n_cap)
+    sweep, order, edges = _support_shells(sys, w, max_support)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = ((w - sys.b) / sweep.values) ** m
     if not np.all(np.isfinite(terms)):
@@ -213,7 +213,7 @@ def _geometric_completion(shell_sums, shell_noise, r, tail_bound):
     return remainder, spread + floor
 
 
-def vieta_sums(sys, w, max_support, tol=1e-12, n_cap=200):
+def vieta_sums(sys, w, max_support):
     """First two Viete aggregates of y_sigma = (w - b)/g_sigma(w).
 
     Returns (S1, S2) with S1 = sum y_sigma and S2 = sum over unordered pairs
@@ -222,14 +222,14 @@ def vieta_sums(sys, w, max_support, tol=1e-12, n_cap=200):
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         raise ValueError("Viete sums need an anchor away from the fixed point")
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
+    sweep = _anchor_sweep(sys, w, max_support)
     y = (w - sys.b) / sweep.values
     p1 = _complex_sum(y)
     p2 = _complex_sum(y * y)
     return p1, (p1 * p1 - p2) / 2.0
 
 
-def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200):
+def wh_eval(sys, z, w_anchor, max_support):
     """Evaluate f(z) by its genus-zero product over branch addresses.
 
     For an anchor w != b:  f(z) = w + (b - w) prod (1 - z / g_sigma(w)).
@@ -238,7 +238,7 @@ def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200):
         f(z) = b + z prod_{k>=0} prod_bases (1 - z / (a^k base)),
 
     with the rung cap k <= M chosen so every dropped factor is within
-    0.5 tol of 1. Requires d < |a|; z = 0 returns b exactly.
+    0.5 product_tolerance of 1. Requires d < |a|; z = 0 returns b exactly.
     """
     a_abs = abs(sys.a)
     if sys.d >= a_abs:
@@ -253,11 +253,12 @@ def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200):
     inv_a = 1.0 / a_abs
 
     if abs(w - sys.b) <= W_NEAR_B:
-        sweep = _base_sweep(sys, max_support, tol, n_cap)
+        sweep = _base_sweep(sys, max_support)
         bases = sweep.values
         g_min = float(np.min(np.abs(bases)))
-        # Smallest M with |z| |a|^-(M+1) <= 0.5 tol g_min; rung 0 always runs.
-        need = abs(z) / (0.5 * tol * g_min)
+        # Smallest M with |z| |a|^-(M+1) <= 0.5 product_tolerance g_min;
+        # rung 0 always runs.
+        need = abs(z) / (0.5 * sys.product_tolerance * g_min)
         rungs = max(1, math.ceil(math.log(need, a_abs))) if need > 1 else 1
         total = 1.0 + 0j
         scaled = complex(z)
@@ -277,7 +278,7 @@ def wh_eval(sys, z, w_anchor, max_support, tol=1e-12, n_cap=200):
                             factors_used=rungs * bases.size,
                             tail_bound=bound)
 
-    sweep = _anchor_sweep(sys, w, max_support, tol, n_cap)
+    sweep = _anchor_sweep(sys, w, max_support)
     prod = _pairwise_product(1.0 - z / sweep.values)
     c_est = growth_floor(sweep, a_abs)
     log_excess = abs(z) * geometric_tail(c_est, sys.d, a_abs,

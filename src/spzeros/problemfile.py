@@ -6,12 +6,13 @@ A problem file is a JSON object with exactly six keys:
                        at least three entries (degree >= 2)
     fixed_point_hint   [re, im] seed for locating the repelling fixed point
     max_support        address enumeration depth, 0..24, d^depth <= 2^24
-    product_tolerance  relative tail target for every infinite product
-    n_cap              hard iteration cap per product
-    root_tolerance     residual target for polynomial root extraction, set
-                       once per system (SPSystem.root_tolerance): it governs
-                       every root solve of the inverse branches of a P that
-                       is not unicritical, contraction_delta's included
+    product_tolerance  relative tail target for every infinite product,
+                       and the evaluator's convergence tolerance
+    n_cap              hard cap on a product's tail factors
+    root_tolerance     residual target for polynomial root extraction
+
+system_from_spec sets the last three once, as the SPSystem fields of the
+same names, after the CLI's --tol has replaced product_tolerance.
 
 Unknown keys are rejected so a typo in a tolerance name cannot silently
 fall back to a default. parse_problem and serialize_problem are inverse
@@ -175,4 +176,6 @@ def system_from_spec(spec):
 
     return build_system(ComplexPolynomial(spec.coefficients),
                         spec.fixed_point_hint,
-                        root_tolerance=spec.root_tolerance)
+                        root_tolerance=spec.root_tolerance,
+                        product_tolerance=spec.product_tolerance,
+                        n_cap=spec.n_cap)

@@ -30,8 +30,9 @@ FIXED_POINT_TOLERANCE = 1e-12
 # moduli: a few dozen roundings of forming it.
 UNICRITICAL_TOL = 64 * 2.0 ** -53
 # Evaluation of f: iterate depth grows in steps of this size until two
-# consecutive depths agree.
+# consecutive depths agree, up to at most EVAL_DEPTH_CAP.
 DEPTH_STEP = 5
+EVAL_DEPTH_CAP = 200
 OVERFLOW_LIMIT = 1e150
 
 
@@ -49,9 +50,10 @@ class SPSystem:
     and the inverse branches have a closed form; for any other P they are
     None.
 
-    root_tolerance is the stopping tolerance of every root solve on this
-    system (the inverse branches of any other P, and the contraction ball's
-    certification); build_system sets it once.
+    build_system sets three settings that every function on the system
+    reads: root_tolerance stops every root solve, product_tolerance is the
+    truncation target of every product's tail and the evaluator's
+    convergence tolerance, and n_cap caps a product's tail factors.
     """
 
     P: ComplexPolynomial
@@ -62,6 +64,8 @@ class SPSystem:
     V: ComplexPolynomial
     rho: float
     root_tolerance: float
+    product_tolerance: float
+    n_cap: int
     crit: complex = None
     kappa: complex = None
     t_b: complex = None
@@ -98,6 +102,7 @@ def unicritical_point(P):
 
 
 def build_system(P, fixed_point_hint, root_tolerance=1e-13,
+                 product_tolerance=1e-12, n_cap=200,
                  fixed_point_tolerance=FIXED_POINT_TOLERANCE):
     """Locate the repelling fixed point nearest the hint and assemble a system.
 
@@ -107,10 +112,9 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
         Degree d >= 2 polynomial.
     fixed_point_hint : complex
         The fixed point of P nearest this value is selected.
-    root_tolerance : float
-        Stopping tolerance of the root solver: for the fixed points here,
-        and for every later root solve on the system, where it is stored as
-        SPSystem.root_tolerance.
+    root_tolerance, product_tolerance, n_cap : float, float, int
+        The system's settings, stored as the SPSystem fields of the same
+        names; root_tolerance also stops the fixed points' root solve here.
 
     Returns
     -------
@@ -167,31 +171,32 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
     b = complex(b)
     crit = unicritical_point(P)
     return SPSystem(P=P, b=b, a=complex(a), d=d, Q=Q, V=V, rho=rho,
-                    root_tolerance=root_tolerance, crit=crit,
-                    kappa=None if crit is None else b - P.eval(crit),
+                    root_tolerance=root_tolerance,
+                    product_tolerance=product_tolerance, n_cap=n_cap,
+                    crit=crit, kappa=None if crit is None else b - P.eval(crit),
                     t_b=None if crit is None else b - crit)
 
 
-def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
+def _eval_f_with_slope(sys, z):
     """f and f' over an ndarray of points, at a shared depth.
 
     f(z) is the limit of b + V^n(a^-n z). The orbit v_k is carried in
     double-double arithmetic, so the values do not suffer the noise floor a
     plain-double composition has at large |z| (eps |z| |f'(z)|): accuracy
-    is limited by tol and the final rounding alone even at points of size
-    1e7 and beyond. f'(z) is the chain product a^-n prod V'(v_k) along the
-    same orbit, taken in doubles as prod (V'(v_k) / a) so that no partial
-    product underflows. The depth starts at ceil(log_|a| max |z|) + 10 and
-    grows by DEPTH_STEP until two consecutive depths agree within tol
-    (relative to max(1, |f|)) at every point; both results come from the
-    deeper of the two.
+    is limited by the tolerance and the final rounding alone even at points
+    of size 1e7 and beyond. f'(z) is the chain product a^-n prod V'(v_k)
+    along the same orbit, taken in doubles as prod (V'(v_k) / a) so that no
+    partial product underflows. The depth starts at ceil(log_|a| max |z|)
+    + 10 and grows by DEPTH_STEP until two consecutive depths agree within
+    sys.product_tolerance (relative to max(1, |f|)) at every point; both
+    results come from the deeper of the two.
 
     Raises
     ------
     ValueError
         If a point is not finite.
     NonConvergence
-        If the depth cap is reached (the exception carries the worst
+        If EVAL_DEPTH_CAP is reached (the exception carries the worst
         relative gap), or the orbit overflows.
     """
     z = np.asarray(z, dtype=np.complex128)
@@ -220,18 +225,19 @@ def _eval_f_with_slope(sys, z, tol=1e-12, n_max=200):
 
     prev, _ = run(n, with_slope=False)  # only the converged run's slope
     gap = math.inf
-    while n + DEPTH_STEP <= n_max:
+    while n + DEPTH_STEP <= EVAL_DEPTH_CAP:
         n += DEPTH_STEP
         cur, slope = run(n)
-        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
+        scale = np.maximum(1.0, np.abs(cur))
+        if np.all(np.abs(cur - prev) <= sys.product_tolerance * scale):
             return cur, slope
-        gap = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))))
+        gap = float(np.max(np.abs(cur - prev) / scale))
         prev = cur
-    raise NonConvergence(f"direct evaluation still moving at depth cap {n_max}",
-                         gap=gap)
+    raise NonConvergence(
+        f"direct evaluation still moving at depth cap {EVAL_DEPTH_CAP}", gap=gap)
 
 
-def eval_f_direct(sys, z, tol=1e-12, n_max=200):
+def eval_f_direct(sys, z):
     """Evaluate the entire solution f at one point z, as a complex.
 
     A one-point call of eval_f_batch; see _eval_f_with_slope for the depth
@@ -239,16 +245,16 @@ def eval_f_direct(sys, z, tol=1e-12, n_max=200):
     so a call costs about 10 ms for one Chebyshev point, about what it costs
     for a hundred: evaluate many points with one eval_f_batch call.
     """
-    return complex(eval_f_batch(sys, complex(z), tol, n_max))
+    return complex(eval_f_batch(sys, complex(z)))
 
 
-def eval_f_batch(sys, z, tol=1e-12, n_max=200):
+def eval_f_batch(sys, z):
     """Evaluate the entire solution f over an ndarray of points.
 
     The limit of b + V^n(a^-n z) in double-double arithmetic, at a depth
     shared by all points; see _eval_f_with_slope, which also returns f'.
     """
-    return _eval_f_with_slope(sys, z, tol, n_max)[0]
+    return _eval_f_with_slope(sys, z)[0]
 
 
 def bell_polynomial(m, j, x):

@@ -24,6 +24,9 @@ from .factor import wh_eval
 from .poly import ComplexPolynomial
 from .system import build_system, eval_f_batch
 
+# Largest support of the addresses cross_check round-trips at every anchor.
+ROUNDTRIP_SUPPORT = 4
+
 
 def chebyshev_system():
     """P(z) = 2z^2 - 1 at b = 1: f(z) = cos(sqrt(-2z))."""
@@ -147,36 +150,34 @@ class CrossCheckReport:
     worst_roundtrip: float
 
 
-def cross_check(sys, samples, max_support, anchor=0j, roundtrip_support=4,
-                tol=1e-12, n_cap=200, products=True):
+def cross_check(sys, samples, max_support, anchor=0j, products=True):
     """Evaluate f at each sample by three routes and round-trip the branches.
 
     Routes: direct functional iteration, the product anchored at `anchor`,
     and the fixed-point ladder product. The round-trip leg treats each sample
     as an anchor w (skipping w near b), inverts f through every address of
-    support <= roundtrip_support, and confirms f(g_sigma(w)) = w by direct
+    support <= ROUNDTRIP_SUPPORT, and confirms f(g_sigma(w)) = w by direct
     iteration. With products False only the round trips run (the product
     routes need d < |a|), and rows is empty.
     """
     samples = [complex(z) for z in samples]
     anchors = [z for z in samples if abs(z - sys.b) > 1e-9]
-    solutions = [sweep_products(sys, w, roundtrip_support, tol=tol,
-                                n_cap=n_cap).values
+    solutions = [sweep_products(sys, w, ROUNDTRIP_SUPPORT).values
                  for w in anchors]
     # One eval_f_batch call for the direct route at every sample and every
     # anchor's round trip: its cost is mostly per call, not per point.
     points = np.concatenate([np.array(samples, dtype=np.complex128),
                              *solutions])
     ends = np.cumsum([len(samples)] + [s.size for s in solutions])[:-1]
-    limits, *back = np.split(eval_f_batch(sys, points, tol=tol), ends)
+    limits, *back = np.split(eval_f_batch(sys, points), ends)
     roundtrips = [(w, float(np.max(np.abs(part - w))))
                   for w, part in zip(anchors, back)]
 
     rows = []
     for z, direct in zip(samples if products else (), limits):
         direct = complex(direct)
-        anchored = wh_eval(sys, z, anchor, max_support, tol=tol, n_cap=n_cap)
-        ladder = wh_eval(sys, z, sys.b, max_support, tol=tol, n_cap=n_cap)
+        anchored = wh_eval(sys, z, anchor, max_support)
+        ladder = wh_eval(sys, z, sys.b, max_support)
         trio = (direct, anchored.product_value, ladder.product_value)
         deviation = max(abs(x - y) for x in trio for y in trio)
         rows.append(CrossCheckRow(

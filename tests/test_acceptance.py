@@ -5,6 +5,7 @@ numbers and then asserts. Run with `-s` (or read failure output) to see the
 lines. The suite is deterministic: every random draw is seeded.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -40,7 +41,7 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_quadratic_zero_family():
-    sys = chebyshev_system()
+    sys = dataclasses.replace(chebyshev_system(), product_tolerance=1e-13)
     t0 = time.perf_counter()
     pairs = [
         ((), -(math.pi**2) / 8),
@@ -50,8 +51,7 @@ def test_criterion_01_quadratic_zero_family():
     ]
     worst = 0.0
     for digits, want in pairs:
-        got = zero_product(sys, SigmaSequence(digits), tol=1e-13,
-                           n_cap=200).value
+        got = zero_product(sys, SigmaSequence(digits)).value
         worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -152,7 +152,8 @@ def test_criterion_06_roundtrip_support_six():
     for make in ALL_SYSTEMS:
         sys = make()
         for w in (0j, 0.3 + 0.1j, -2.0 + 0j):
-            sweep = sweep_products(sys, w, 6, tol=1e-13)
+            fine = dataclasses.replace(sys, product_tolerance=1e-13)
+            sweep = sweep_products(fine, w, 6)
             back = eval_f_batch(sys, sweep.values)
             worst = max(worst, float(np.max(np.abs(back - w))))
     ok = worst <= 1e-7

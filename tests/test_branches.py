@@ -17,20 +17,24 @@ from spzeros import (
     build_system,
     check_hypothesis1,
     contraction_delta,
+    cross_check,
     enumerate_sigma,
     eval_f_batch,
     eval_f_direct,
     g0_and_derivative,
     growth_floor,
     inverse_branch,
+    moment_sum,
     principal_branch,
     sweep_products,
     sweep_solutions_at_b,
     system_from_spec,
+    serialize_problem,
     tail_bound,
+    wh_eval,
     zero_product,
 )
-from spzeros import branches
+from spzeros import branches, cli, factor, system
 from spzeros.branches import labels_batch, thread_limit
 from spzeros.system import unicritical_point
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
@@ -123,7 +127,7 @@ def test_principal_branch_contracts_to_fixed_point():
 def test_zero_product_cosine_family():
     # Zeros of cos(sqrt(-2z)) sit at -(2k-1)^2 pi^2 / 8; the first four
     # addresses in digit order are (), (1,), (1,1), (0,1).
-    sys = chebyshev_system()
+    sys = dataclasses.replace(chebyshev_system(), product_tolerance=1e-13)
     pairs = [
         ((), -(math.pi**2) / 8),
         ((1,), -9 * math.pi**2 / 8),
@@ -131,19 +135,19 @@ def test_zero_product_cosine_family():
         ((0, 1), -49 * math.pi**2 / 8),
     ]
     for digits, want in pairs:
-        got = zero_product(sys, SigmaSequence(digits), tol=1e-13).value
+        got = zero_product(sys, SigmaSequence(digits)).value
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_zero_product_golden_first_zero():
-    sys = golden_system()
-    got = zero_product(sys, SigmaSequence(()), tol=1e-13).value
+    sys = dataclasses.replace(golden_system(), product_tolerance=1e-13)
+    got = zero_product(sys, SigmaSequence(())).value
     assert abs(got - GOLDEN_FIRST_ZERO) <= 1e-12 * abs(GOLDEN_FIRST_ZERO)
 
 
 def test_zero_product_cubic_deep_address():
-    sys = cubic_system()
-    got = zero_product(sys, SigmaSequence((0, 0, 0, 0, 0, 1)), tol=1e-13).value
+    sys = dataclasses.replace(cubic_system(), product_tolerance=1e-13)
+    got = zero_product(sys, SigmaSequence((0, 0, 0, 0, 0, 1))).value
     assert abs(got - CUBIC_DEEP_ZERO) <= 1e-13 * abs(CUBIC_DEEP_ZERO)
 
 
@@ -154,9 +158,9 @@ def test_zero_product_rejects_bad_digits():
 
 
 def test_zero_product_reports_nonconvergence():
-    sys = chebyshev_system()
+    sys = dataclasses.replace(chebyshev_system(), n_cap=3)
     with pytest.raises(NonConvergence):
-        zero_product(sys, SigmaSequence((1, 1)), n_cap=3)
+        zero_product(sys, SigmaSequence((1, 1)))
 
 
 def test_sweep_matches_scalar_products():
@@ -275,7 +279,8 @@ def test_sweep_independent_of_thread_count(monkeypatch):
 def test_eval_agrees_with_product_zero():
     # f really vanishes at the product-computed zeros.
     for sys in (chebyshev_system(), golden_system()):
-        z0 = zero_product(sys, SigmaSequence((1,)), tol=1e-13).value
+        fine = dataclasses.replace(sys, product_tolerance=1e-13)
+        z0 = zero_product(fine, SigmaSequence((1,))).value
         assert abs(eval_f_direct(sys, z0)) <= 1e-8
 
 
@@ -335,9 +340,10 @@ def test_n_cap_counts_prefix_and_tail_factors():
     sys = chebyshev_system()
     for digits in ((1, 1), (0, 0, 1), ()):
         used = zero_product(sys, digits).terms_used
-        assert zero_product(sys, digits, n_cap=used).terms_used == used
+        capped = dataclasses.replace(sys, n_cap=used)
+        assert zero_product(capped, digits).terms_used == used
         with pytest.raises(NonConvergence):
-            zero_product(sys, digits, n_cap=used - 1)
+            zero_product(dataclasses.replace(sys, n_cap=used - 1), digits)
 
 
 # The principal step against an independent reference: b and the Taylor
@@ -489,6 +495,62 @@ def test_root_tolerance_reaches_every_root_solve(monkeypatch):
         assert seen and set(seen) == {1e-9}, (name, seen)
 
 
+def test_product_settings_reach_every_product(monkeypatch, tmp_path):
+    # The problem file's product_tolerance and n_cap are set once on the
+    # system; every tail must stop at them and every evaluation of f must
+    # converge at the product tolerance, the CLI's --tol included.
+    spec = ProblemSpec(coefficients=(-1 + 0j, 0j, 2 + 0j),
+                       fixed_point_hint=1 + 0j, max_support=3,
+                       product_tolerance=1e-9, n_cap=50,
+                       root_tolerance=1e-13)
+    sys = system_from_spec(spec)
+    assert (sys.product_tolerance, sys.n_cap) == (1e-9, 50)
+    path = tmp_path / "problem.json"
+    path.write_text(serialize_problem(
+        dataclasses.replace(spec, product_tolerance=1e-12)))
+    seen = []
+    tails = branches._tail_products
+    evaluate = system._eval_f_with_slope
+
+    def tail_recording(sys_, v, cap):
+        seen.append(("tail", sys_.product_tolerance, cap))
+        return tails(sys_, v, cap)
+
+    def eval_recording(sys_, z):
+        # The evaluator reads only the tolerance (its depth cap is a
+        # constant); n_cap is recorded to show it was given this system.
+        seen.append(("eval", sys_.product_tolerance, sys_.n_cap))
+        return evaluate(sys_, z)
+
+    monkeypatch.setattr(branches, "_tail_products", tail_recording)
+    for module in (system, branches, cli):
+        monkeypatch.setattr(module, "_eval_f_with_slope", eval_recording)
+    runs = {
+        "sweep_products": lambda: sweep_products(sys, 0j, 2),
+        "sweep_solutions_at_b": lambda: sweep_solutions_at_b(sys, 2),
+        "zero_product": lambda: zero_product(sys, ()),
+        "inverse_branch": lambda: inverse_branch(sys, (), 0.5),
+        "g0_and_derivative": lambda: g0_and_derivative(sys, 0.5),
+        "tail_bound": lambda: tail_bound(sys, 4, 2, probe_support=2),
+        "moment_sum": lambda: moment_sum(sys, 2, 0j, 2),
+        "wh_eval": lambda: wh_eval(sys, 0.5, 0j, 2),
+        "cross_check": lambda: cross_check(sys, [0.5, -1j], 2),
+        "check": lambda: cli.main(["check", str(path), "--max-support", "3",
+                                   "--tol", "1e-9",
+                                   "-o", str(tmp_path / "check.txt")]),
+    }
+    evaluating = {"g0_and_derivative", "cross_check", "check"}
+    for name, run in runs.items():
+        for cached in (factor._anchor_sweep, factor._support_shells,
+                       factor._base_sweep):
+            cached.cache_clear()
+        seen.clear()
+        run()
+        kinds = {kind for kind, *_ in seen}
+        assert kinds == {"tail"} | ({"eval"} if name in evaluating else set())
+        assert {tuple(rest) for _, *rest in seen} == {(1e-9, 50)}, (name, seen)
+
+
 def test_zero_product_chebyshev_oracle_on_root_solver_route(monkeypatch):
     # Every route must give the exact zeros: the general one, and the
     # fallbacks alone, which keep the rounding error relative to v where
@@ -592,12 +654,12 @@ def test_series_truncation_bound_holds_on_chebyshev_oracle():
     # the rounding, sets tail_estimate; on that circle the truncated series
     # must stay within tail_estimate |L(v)| of the exact L(v).
     mpmath = pytest.importorskip("mpmath")
-    sys = chebyshev_system()
     tol = 1e-8
-    r_s = branches._series_radius(sys, tol)
+    sys = dataclasses.replace(chebyshev_system(), product_tolerance=tol)
+    _, kappa, r_s = branches._koenigs_data(sys)
     assert 0.0 < r_s < 0.5 * contraction_delta(sys)
     v = r_s * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-    est = float(branches._series_bound(sys, r_s))
+    est = float(branches._series_bound(kappa, contraction_delta(sys), r_s))
     assert 0.0 < est <= tol
     # A leaf just inside the circle takes the series at once: one factor,
     # with the bound at its own radius as tail_estimate.
@@ -608,6 +670,6 @@ def test_series_truncation_bound_holds_on_chebyshev_oracle():
                       for x in pts.tolist()]) for pts in (v, inner))
     series = v * branches._series(branches._koenigs_data(sys)[0], v)
     assert np.all(np.abs(series - exact) <= est * np.abs(exact))
-    tail, steps, tail_est, conv = branches._tail_products(sys, inner, tol, 5)
+    tail, steps, tail_est, conv = branches._tail_products(sys, inner, 5)
     assert conv.all() and np.all(steps == 1) and np.all(tail_est <= est)
     assert np.all(np.abs(tail - exact_inner) <= tail_est * np.abs(exact_inner))

@@ -144,6 +144,23 @@ def test_invert_verify_flags_broken_roundtrip(capsys, monkeypatch):
     assert "exceeds its error budget" in err
 
 
+def test_invert_verify_independent_of_n_cap(tmp_path, capsys):
+    # n_cap caps a product's factors, not the evaluator's depth: with the
+    # series tail no row here needs 20 factors, and --verify evaluates f(g)
+    # to its own depth cap, so the table is the one at n_cap 200.
+    problem = json.loads(Path(CHEB).read_text())
+    problem["n_cap"] = 20
+    small_cap = tmp_path / "ncap20.json"
+    small_cap.write_text(json.dumps(problem))
+    args = ["--max-support", "5", "--w=-2,0.5", "--verify"]
+    code, out, err = run_cli(["invert", str(small_cap), *args], capsys)
+    assert (code, err) == (0, "")
+    assert len(read_csv(out)[1]) == 32
+    code, full, _ = run_cli(["invert", CHEB, *args], capsys)
+    assert code == 0
+    assert out == full
+
+
 def test_moments_table_and_convergence(capsys):
     code, out, _ = run_cli(
         ["moments", GOLD, "--m", "1,2", "--max-support", "10"], capsys)

@@ -42,9 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # anchor 1e20 has inverse branches of size 1e10 at the first step. At
 # tol 1e-17 the tail series is entered at a smaller radius, after more
 # steps; no shipped P reaches n_cap there (chebyshev-ncap2.json of GENERAL
-# does, which adds the converged column). The support-9 runs cross a block
-# of the row writer: 19,683 zeros of cubic6, and a circle whose w = b
-# ladder table alone has 19,682 rows.
+# does, which adds the converged column). check at tol 1e-10 evaluates f
+# at that tolerance in every invariant, taylor_d2's included. The support-9
+# runs cross a block of the row writer: 19,683 zeros of cubic6, and a
+# circle whose w = b ladder table alone has 19,682 rows.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -54,6 +55,7 @@ RUNS = (
     ("moments", "--max-support", "8", "--m", "1,2"),
     ("wh", "--max-support", "8", "--z=-1.2,0.3", "--z", "2,1"),
     ("check", "--max-support", "6"),
+    ("check", "--max-support", "6", "--tol", "1e-10"),
     ("invert", "--w=1", "--verify"),
     ("invert", "--max-support", "2", "--w=1e20"),
     ("zeros", "--max-support", "8", "--tol", "1e-17"),
