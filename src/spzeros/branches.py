@@ -515,16 +515,14 @@ def _tail_products(sys, v, cap):
             converged)
 
 
-def _supports_from_indices(idx, d, depth):
-    """Support of each padded address index: depth minus trailing base-d zeros."""
-    supp = np.full(idx.shape, depth, dtype=np.int16)
-    j = idx.copy()
-    for _ in range(depth):
-        strip = (j % d == 0) & (supp > 0)
-        if not strip.any():
-            break
-        j = np.where(strip, j // d, j)
-        supp = np.where(strip, supp - 1, supp)
+def _supports_from_indices(offset, size, d, depth):
+    """Support of each padded address index offset, ..., offset + size - 1:
+    depth minus its trailing base-d zeros. Every index divisible by d^k
+    loses one, for k = 1, ..., depth."""
+    supp = np.full(size, depth, dtype=np.int16)
+    for k in range(1, depth + 1):
+        step = d ** k
+        supp[(-offset) % step::step] -= 1
     return supp
 
 
@@ -602,14 +600,13 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset):
     est = np.concatenate([r[2] for r in results])
     conv = np.concatenate([r[3] for r in results])
 
-    idx = np.arange(values.size, dtype=np.int64) + offset
     return BranchSweep(
         depth=depth,
         d=sys.d,
         anchor=None,
         offset=offset,
         values=values,
-        support=_supports_from_indices(idx, sys.d, depth),
+        support=_supports_from_indices(offset, values.size, sys.d, depth),
         terms_used=steps.astype(np.int32) + depth,
         tail_estimate=est,
         converged=conv,

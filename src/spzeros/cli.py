@@ -253,7 +253,7 @@ def _solution_table(sys_, spec, w):
         est[lo:hi] = sw.tail_estimate
         conv[lo:hi] = sw.converged
         pref[lo:hi] = [str(N - K + 1)] * (hi - lo)
-    support = _supports_from_indices(np.arange(size, dtype=np.int64), d, N)
+    support = _supports_from_indices(0, size, d, N)
     sweep = BranchSweep(depth=N, d=d, anchor=w, offset=0, values=values,
                         support=support, terms_used=terms, tail_estimate=est,
                         converged=conv)

@@ -7,6 +7,7 @@ sum_sigma ((w - b) / g_sigma(w))^m, which close in terms of the Taylor data
 of f at 0.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .branches import (
+    UNIT_ROUNDOFF,
     W_NEAR_B,
     geometric_tail,
     growth_floor,
@@ -27,6 +29,12 @@ from .system import bell_polynomial, taylor_at_zero
 # Number of trailing shell ratios whose drift from d/a^m sizes the error of
 # the geometric tail completion.
 RATIO_WINDOW = 3
+
+# The w = b ladder sums its far rungs as the series log(1 - t) =
+# -sum_{m<=LADDER_TERMS} t^m / m; a rung is far once every t = z / (a^k base)
+# on it has |t| <= FAR_RATIO.
+LADDER_TERMS = 24
+FAR_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,11 @@ class MomentReport:
 
 @dataclass(frozen=True)
 class WHEvaluation:
-    """One product-formula evaluation of f at z anchored at w_anchor."""
+    """One product-formula evaluation of f at z anchored at w_anchor.
+
+    factors_used counts the explicit factors 1 - z / g, plus, on the w = b
+    ladder, the bases once more for the rungs summed in closed form.
+    """
 
     z: complex
     w_anchor: complex
@@ -68,6 +80,12 @@ class WHEvaluation:
 @lru_cache(maxsize=4)
 def _anchor_sweep(sys, w, max_support):
     return sweep_products(sys, w, max_support)
+
+
+@lru_cache(maxsize=4)
+def _anchor_floor(sys, w, max_support):
+    """growth_floor of the anchor sweep, measured once per sweep."""
+    return growth_floor(_anchor_sweep(sys, w, max_support), abs(sys.a))
 
 
 @lru_cache(maxsize=4)
@@ -86,6 +104,52 @@ def _support_shells(sys, w, max_support):
 @lru_cache(maxsize=4)
 def _base_sweep(sys, max_support):
     return sweep_solutions_at_b(sys, max_support)
+
+
+@dataclass(frozen=True)
+class _LadderSums:
+    """Per-sweep data of the w = b ladder, computed once from its bases.
+
+    g_min = min |base|; inv_sum = sum 1/|base|; missing bounds the sum of
+    1/|base| over the bases beyond the sweep's depth. series[m - 1] =
+    S_m / m with S_m = sum_base base^-m / (1 - a^-m), the sum over every
+    rung k >= 0 of (a^k base)^-m. rounding bounds the relative rounding of
+    the S_m reductions and of their per-point evaluation.
+    """
+
+    bases: np.ndarray
+    g_min: float
+    inv_sum: float
+    missing: float
+    series: tuple
+    rounding: float
+
+
+@lru_cache(maxsize=4)
+def _ladder_sums(sys, max_support):
+    sweep = _base_sweep(sys, max_support)
+    bases = sweep.values
+    a_abs = abs(sys.a)
+    inv = 1.0 / bases
+    power = np.ones_like(inv)
+    series = []
+    for m in range(1, LADDER_TERMS + 1):
+        power *= inv
+        series.append(complex(np.sum(power)) / (1.0 - sys.a ** (-m)) / m)
+    # Roundings in units of u, relative to sum_m |z'|^m sum |base|^-m /
+    # (m (1 - |a|^-m)): at most 3 per complex operation, so 3 (M + 2) for a
+    # power, its division by 1 - a^-m and by m; 16 + log2(n) for numpy's
+    # blockwise pairwise sum; 6 M for the per-point Horner evaluation.
+    units = 9 * LADDER_TERMS + 22 + math.ceil(math.log2(bases.size + 1))
+    return _LadderSums(
+        bases=bases,
+        g_min=float(np.min(np.abs(bases))),
+        inv_sum=_fsum(1.0 / np.abs(bases)),
+        missing=geometric_tail(growth_floor(sweep, a_abs), sys.d, a_abs,
+                               max_support + 1, 1),
+        series=tuple(series),
+        rounding=units * UNIT_ROUNDOFF,
+    )
 
 
 def _fsum(values):
@@ -169,7 +233,7 @@ def moment_sum(sys, m, w, max_support):
         shell_noise.append(_fsum(noise[lo:hi]))
         running = running + shell_sums[-1]
         shells.append((support, running))
-    c_est = growth_floor(sweep, a_abs)
+    c_est = _anchor_floor(sys, w, max_support)
     bound = (abs(w - sys.b) ** m
              * geometric_tail(c_est, sys.d, a_abs, max_support + 1, m))
     remainder, error = _geometric_completion(
@@ -232,13 +296,29 @@ def vieta_sums(sys, w, max_support):
 def wh_eval(sys, z, w_anchor, max_support):
     """Evaluate f(z) by its genus-zero product over branch addresses.
 
-    For an anchor w != b:  f(z) = w + (b - w) prod (1 - z / g_sigma(w)).
+    For an anchor w != b:  f(z) = w + (b - w) prod (1 - z / g_sigma(w)),
+    one explicit factor per enumerated address.
+
     For w = b the solutions ladder in powers of a and the product becomes
 
-        f(z) = b + z prod_{k>=0} prod_bases (1 - z / (a^k base)),
+        f(z) = b + z prod_{k>=0} prod_bases (1 - z / (a^k base)).
 
-    with the rung cap k <= M chosen so every dropped factor is within
-    0.5 product_tolerance of 1. Requires d < |a|; z = 0 returns b exactly.
+    Rung k is near while |z| |a|^-k > g_min / 4 (g_min = min |base|) and
+    takes one explicit factor per base. From the first far rung K on, every
+    |z / (a^k base)| <= 1/4, and with z' = z / a^K all the far rungs sum in
+    closed form:
+
+        log prod_{k>=K} prod_bases (...) = -sum_{m<=M} z'^m / m * S_m,
+
+    S_m = sum_base base^-m / (1 - a^-m) (M = LADDER_TERMS), from power sums
+    computed once per sweep (_ladder_sums). tail_bound adds three terms in
+    the log: the bases beyond max_support, |z| sum 1/|base| / (1 - 1/|a|)
+    over them; the series truncation, at most r^M / ((M + 1)(1 - r)) |z'|
+    sum 1/|base| / (1 - 1/|a|) with r = |z'| / g_min <= 1/4; and the
+    rounding of the S_m reductions. factors_used counts the explicit
+    factors plus the bases summed once.
+
+    Requires d < |a|; z = 0 returns b exactly.
     """
     a_abs = abs(sys.a)
     if sys.d >= a_abs:
@@ -247,42 +327,45 @@ def wh_eval(sys, z, w_anchor, max_support):
         )
     z = complex(z)
     w = complex(w_anchor)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"product form needs a finite z, got {z}")
     if z == 0:
         return WHEvaluation(z=z, w_anchor=w, product_value=complex(sys.b),
                             factors_used=1, tail_bound=0.0)
     inv_a = 1.0 / a_abs
 
     if abs(w - sys.b) <= W_NEAR_B:
-        sweep = _base_sweep(sys, max_support)
-        bases = sweep.values
-        g_min = float(np.min(np.abs(bases)))
-        # Smallest M with |z| |a|^-(M+1) <= 0.5 product_tolerance g_min;
-        # rung 0 always runs.
-        need = abs(z) / (0.5 * sys.product_tolerance * g_min)
-        rungs = max(1, math.ceil(math.log(need, a_abs))) if need > 1 else 1
+        ladder = _ladder_sums(sys, max_support)
+        bases = ladder.bases
         total = 1.0 + 0j
-        scaled = complex(z)
-        for _ in range(rungs):
+        scaled = z
+        rungs = 0
+        while abs(scaled) > FAR_RATIO * ladder.g_min:
             total *= _pairwise_product(1.0 - scaled / bases)
             scaled /= sys.a
-        c_est = growth_floor(sweep, a_abs)
-        missing_bases = geometric_tail(c_est, sys.d, a_abs, max_support + 1, 1)
-        enum_sum = math.fsum(1.0 / np.abs(bases))
-        log_excess = abs(z) * (
-            missing_bases / (1.0 - inv_a)
-            + a_abs ** (-rungs) / (1.0 - inv_a) * (enum_sum + missing_bases)
+            rungs += 1
+        log_far = 0j
+        for coeff in reversed(ladder.series):
+            log_far = (log_far + coeff) * scaled
+        total *= cmath.exp(-log_far)
+        ratio = abs(scaled) / ladder.g_min
+        far_sum = abs(scaled) * ladder.inv_sum / (1.0 - inv_a)
+        log_excess = (
+            abs(z) * ladder.missing / (1.0 - inv_a)
+            + far_sum * ratio ** LADDER_TERMS
+            / ((LADDER_TERMS + 1) * (1.0 - ratio))
+            + far_sum * ladder.rounding / (1.0 - ratio)
         )
         bound = abs(z) * abs(total) * math.expm1(log_excess)
         return WHEvaluation(z=z, w_anchor=w,
                             product_value=sys.b + z * total,
-                            factors_used=rungs * bases.size,
+                            factors_used=(rungs + 1) * bases.size,
                             tail_bound=bound)
 
     sweep = _anchor_sweep(sys, w, max_support)
     prod = _pairwise_product(1.0 - z / sweep.values)
-    c_est = growth_floor(sweep, a_abs)
-    log_excess = abs(z) * geometric_tail(c_est, sys.d, a_abs,
-                                         max_support + 1, 1)
+    log_excess = abs(z) * geometric_tail(_anchor_floor(sys, w, max_support),
+                                         sys.d, a_abs, max_support + 1, 1)
     bound = abs(sys.b - w) * abs(prod) * math.expm1(log_excess)
     return WHEvaluation(z=z, w_anchor=w,
                         product_value=w + (sys.b - w) * prod,

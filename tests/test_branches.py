@@ -187,6 +187,19 @@ def test_sweep_order_is_lexicographic():
                             for s in enumerate_sigma(3, 3)}
 
 
+def test_supports_match_digit_addresses():
+    # The strided count of trailing zeros against the digit strings, with
+    # offset 0 (anchor sweeps) and the ladder offset d^(depth - 1).
+    for sys, depth in ((chebyshev_system(), 9), (cubic_system(), 6)):
+        for sweep in (sweep_products(sys, 0j, depth),
+                      sweep_solutions_at_b(sys, depth)):
+            assert sweep.offset == (0 if sweep.anchor is not None
+                                    else sys.d ** (depth - 1))
+            assert sweep.support.dtype == np.int16
+            assert sweep.support.tolist() == [
+                len(sweep.digits_of(i)) for i in sweep.indices()]
+
+
 def test_solutions_at_fixed_point_ladder():
     # At w = b the solution set is a geometric ladder: multiplying a
     # depth-K base by a gives the depth-(K+1) value whose address gains a

@@ -1,6 +1,11 @@
 """Momenta identities and the genus-zero product evaluation of f."""
 
+import cmath
 import math
+import os
+import subprocess
+import sys as _sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from spzeros import (
     ComplexPolynomial,
     DivergentMoment,
     OrderTooLarge,
+    ValidationError,
     build_system,
     closed_form_momentum,
     eval_f_direct,
@@ -18,8 +24,15 @@ from spzeros import (
     vieta_sums,
     wh_eval,
 )
-from spzeros.factor import _geometric_completion
-from spzeros.verify import chebyshev_system, cubic_system, golden_system
+from spzeros.factor import _base_sweep, _geometric_completion, _pairwise_product
+from spzeros.verify import (
+    chebyshev_system,
+    cubic_system,
+    golden_system,
+    oracle_chebyshev,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SQRT5 = math.sqrt(5)
 
@@ -174,11 +187,67 @@ def test_wh_eval_anchor_consistency():
     assert abs(ev0.product_value - evb.product_value) <= tol
 
 
+def test_ladder_within_budget_of_chebyshev_oracle():
+    # g_min / 4 is about 4.9 on Chebyshev: 2 - 1j takes no explicit rung,
+    # -40 + 3j and -2000 + 500j take some before the closed-form sum. The
+    # oracle's series cancels at |z| = 2000, so cos(sqrt(-2z)) checks there.
+    sys = chebyshev_system()
+    depth = 12
+    bases = _base_sweep(sys, depth).values
+    near = 0.25 * np.min(np.abs(bases))
+    for z, explicit in ((2 - 1j, False), (-40 + 3j, True),
+                        (-2000 + 500j, True)):
+        ev = wh_eval(sys, z, sys.b, depth)
+        rungs = sum(abs(z) * abs(sys.a) ** -k > near for k in range(64))
+        assert (rungs > 0) == explicit
+        assert ev.factors_used == (rungs + 1) * bases.size
+        exact = (oracle_chebyshev(z) if abs(z) < 100
+                 else cmath.cos(cmath.sqrt(-2 * z)))
+        assert abs(ev.product_value - exact) <= ev.tail_bound
+
+
+def test_ladder_sum_matches_explicit_rungs():
+    # The same enumerated bases multiplied rung by rung until the dropped
+    # rungs are below 1e-17 relative, against the closed-form rung sum.
+    for sys, depth in ((golden_system(), 6), (cubic_system(), 4)):
+        bases = _base_sweep(sys, depth).values
+        g_min = float(np.min(np.abs(bases)))
+        for z in (0.7 - 0.4j, 2 + 1j, -15 + 2j, 60 - 30j):
+            total = 1.0 + 0j
+            k = 0
+            while abs(z) * abs(sys.a) ** -k > 1e-17 * g_min:
+                total *= _pairwise_product(1.0 - z / (sys.a ** k * bases))
+                k += 1
+            got = wh_eval(sys, z, sys.b, depth).product_value
+            assert abs(got - (sys.b + z * total)) <= 1e-12 * abs(z * total)
+
+
+def test_wh_bytes_identical_across_thread_counts():
+    args = [_sys.executable, "-m", "spzeros", "wh", "problems/chebyshev2.json",
+            "--max-support", "10", "--z=2,-1", "--z=-40,3", "--z=-2000,500"]
+    outs = []
+    for threads in (1, 2):
+        env = dict(os.environ, SPZEROS_THREADS=str(threads))
+        r = subprocess.run(args, capture_output=True, env=env, cwd=str(ROOT))
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 4
+
+
 def test_wh_eval_at_zero_is_b():
     for sys in (chebyshev_system(), golden_system()):
         ev = wh_eval(sys, 0j, 0j, 6)
         assert ev.product_value == sys.b
         assert ev.tail_bound == 0
+
+
+def test_wh_eval_refuses_non_finite_z():
+    sys = chebyshev_system()
+    for z in (complex(math.inf, 0), complex(0, math.nan)):
+        for anchor in (sys.b, 0j):
+            with pytest.raises(ValidationError):
+                wh_eval(sys, z, anchor, 4)
 
 
 def test_wh_eval_needs_subexponential_zero_counting():

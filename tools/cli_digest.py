@@ -45,7 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # does, which adds the converged column). check at tol 1e-10 evaluates f
 # at that tolerance in every invariant, taylor_d2's included. The support-9
 # runs cross a block of the row writer: 19,683 zeros of cubic6, and a
-# circle whose w = b ladder table alone has 19,682 rows.
+# circle whose w = b ladder table alone has 19,682 rows. wh at z = -40+3i
+# lies beyond a quarter of the smallest ladder base on every shipped P, so
+# the w = b ladder takes explicit rungs before its closed-form rung sum.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -54,6 +56,7 @@ RUNS = (
     ("invert", "--max-support", "10", "--w=0.999", "--verify"),
     ("moments", "--max-support", "8", "--m", "1,2"),
     ("wh", "--max-support", "8", "--z=-1.2,0.3", "--z", "2,1"),
+    ("wh", "--max-support", "8", "--z=-40,3"),
     ("check", "--max-support", "6"),
     ("check", "--max-support", "6", "--tol", "1e-10"),
     ("invert", "--w=1", "--verify"),
