@@ -37,7 +37,8 @@ parent is near b, where Q is evaluated near b instead). Direct evaluation
 of Q at a point close to one of its roots, which loses half the digits to
 cancellation exactly at the largest solutions, never happens. One
 function, _children, takes the inverse step for both kinds of P, and one
-tie rule, _branch_order, orders its branches.
+tie rule, _branch_order, orders its branches; its first column alone,
+_first_branch, names the principal one.
 
 The principal tail is the principal inverse itself: in deviations it is
 the Koenigs linearizer L of V(v) = P(b + v) - b, L(V(v)) = a L(v) with
@@ -48,8 +49,9 @@ L(v_0) = a^K L(v_K). The truncation is bounded by Cauchy's estimate on the
 contraction ball. _principal_step inverts V by a checked Newton iteration
 on deviations inside half the contraction ball, which keeps the relative
 error of v at the rounding level no matter how small v gets; beyond it, or
-where Newton fails its check, it takes the principal child of the inverse
-step above.
+where Newton fails its check, it takes the principal child alone: for
+unicritical P the one closed-form root that the tie rule puts first, for
+any other P column 0 of the inverse step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
@@ -193,28 +195,55 @@ def _run_ordered(tasks, workers):
         return list(pool.map(lambda task: task(), tasks))
 
 
+def _first_branch(rel):
+    """Principal column of each row of inverse branches, rel = root - b.
+
+    The lexicographic minimum of (|rel|, arg rel, re, im), the lowest column
+    on a full tie: a scan over the columns in which a column takes over only
+    when strictly less. |rel| alone decides every row whose scan meets no
+    exact tie in it; only the rows that meet one compute the other keys and
+    repeat the scan on all four.
+    """
+    n, d = rel.shape
+    mag = np.abs(rel)
+    first = np.zeros(n, dtype=np.intp)
+    top = mag[:, 0]
+    tie = np.zeros(n, dtype=bool)
+    for k in range(1, d):
+        col = mag[:, k]
+        tie |= col == top
+        less = col < top
+        first[less] = k
+        if k + 1 < d:
+            top = np.where(less, col, top)
+    rows = np.flatnonzero(tie)
+    if rows.size:
+        sub = rel[rows]
+        keys = (mag[rows], np.angle(sub), sub.real, sub.imag)
+        pick = np.zeros(rows.size, dtype=np.intp)
+        for k in range(1, d):
+            best = [key[np.arange(rows.size), pick] for key in keys]
+            less = np.zeros(rows.size, dtype=bool)
+            for key, low in zip(reversed(keys), reversed(best)):
+                col = key[:, k]
+                less = (col < low) | ((col == low) & less)
+            pick = np.where(less, k, pick)
+        first[rows] = pick
+    return first
+
+
 def _branch_order(rel):
     """Column order of each row of inverse branches, rel = root - b.
 
-    The principal branch, nearest b, comes first: the lexicographic minimum
-    of (|rel|, arg rel, re, im), the lowest column on a full tie. The other
+    The principal branch, nearest b, comes first (_first_branch). The other
     columns follow sorted by (arg rel, re, im). This is the one tie rule of
     every inverse step.
     """
     n, d = rel.shape
-    keys = (np.abs(rel), np.angle(rel), rel.real, rel.imag)
-    first = np.zeros(n, dtype=np.intp)
-    for k in range(1, d):
-        best = [key[np.arange(n), first] for key in keys]
-        less = np.zeros(n, dtype=bool)
-        for key, top in zip(reversed(keys), reversed(best)):
-            col = key[:, k]
-            less = (col < top) | ((col == top) & less)
-        first = np.where(less, k, first)
-    first = first[:, None]
+    first = _first_branch(rel)[:, None]
     if d == 2:
         return np.concatenate([first, 1 - first], axis=1)
-    by_angle = np.lexsort(keys[:0:-1], axis=-1)
+    by_angle = np.lexsort((rel.imag, rel.real, np.angle(rel)), axis=-1)
     rest = by_angle[by_angle != first].reshape(n, d - 1)
     return np.concatenate([first, rest], axis=1)
 
@@ -253,6 +282,23 @@ def _principal_quotient(sys, y, rho):
     return sys.t_b * y / acc
 
 
+def _closed_roots(sys, v):
+    """The d roots s of s^d = (v + kappa) / c_d, shape (B, d)."""
+    return _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], sys.d)
+
+
+def _closed_principal(sys, v):
+    """The principal child alone of b + v for unicritical P.
+
+    It picks the one root s that _first_branch puts first and applies
+    _principal_quotient: the same bits as column 0 of _closed_children,
+    without ordering or gathering the other columns.
+    """
+    s = _closed_roots(sys, v)
+    s0 = s[np.arange(v.size), _first_branch(s - sys.t_b)]
+    return _principal_quotient(sys, v / sys.kappa, s0 / sys.t_b)
+
+
 def _closed_children(sys, v):
     """Deviations of every inverse branch of b + v for unicritical P.
 
@@ -261,8 +307,7 @@ def _closed_children(sys, v):
     value exact: there s = 0 and every child is the critical point. Columns
     are in _branch_order, and the principal one is _principal_quotient.
     """
-    d = sys.d
-    s = _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], d)
+    s = _closed_roots(sys, v)
     rel = s - sys.t_b
     order = _branch_order(rel)
     rel = np.take_along_axis(rel, order, axis=1)
@@ -370,9 +415,10 @@ def _principal_step(sys, v, delta, dV):
     """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
     Deviations inside delta/2 take _conjugate_newton. The rest, and every
-    point it flags bad, take column 0 of the inverse step _children, which
-    keeps the rounding error relative to v where u - b would lose digits to
-    cancellation.
+    point it flags bad, take the principal child alone: _closed_principal
+    for unicritical P, column 0 of the inverse step _children for any
+    other. Both keep the rounding error relative to v where u - b would
+    lose digits to cancellation.
     """
     out = np.empty_like(v)
     near = np.abs(v) < 0.5 * delta
@@ -381,7 +427,10 @@ def _principal_step(sys, v, delta, dV):
         out[near], bad = _conjugate_newton(sys, v[near], dV)
         solve[np.flatnonzero(near)[bad]] = True
     if solve.any():
-        out[solve] = _children(sys, v[solve])[:, 0]
+        if sys.crit is not None:
+            out[solve] = _closed_principal(sys, v[solve])
+        else:
+            out[solve] = _children(sys, v[solve])[:, 0]
     return out
 
 

@@ -90,15 +90,20 @@ def _anchor_floor(sys, w, max_support):
 
 @lru_cache(maxsize=4)
 def _support_shells(sys, w, max_support):
-    """The anchor sweep and one stable partition of it by support.
+    """The anchor sweep laid out once by support for every momentum order.
 
-    Returns (sweep, order, edges): shell n holds the values at
-    order[edges[n]:edges[n + 1]], in index order.
+    Returns (y, rel, edges): y = (w - b) / g_sigma(w) and rel, the relative
+    error of each value, both in one stable partition of the sweep by
+    support; shell n holds y[edges[n]:edges[n + 1]], in index order.
     """
     sweep = _anchor_sweep(sys, w, max_support)
     order = np.argsort(sweep.support, kind="stable")
     edges = np.searchsorted(sweep.support[order], np.arange(max_support + 2))
-    return sweep, order, edges.tolist()
+    y = sweep.values[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(w - sys.b, y, out=y)
+    rel = relative_error(sweep.tail_estimate[order], sweep.terms_used[order])
+    return y, rel, edges.tolist()
 
 
 @lru_cache(maxsize=4)
@@ -212,17 +217,16 @@ def moment_sum(sys, m, w, max_support):
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
-    sweep, order, edges = _support_shells(sys, w, max_support)
+    y, rel, edges = _support_shells(sys, w, max_support)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = ((w - sys.b) / sweep.values) ** m
+        terms = y ** m
     if not np.all(np.isfinite(terms)):
         raise ValidationError(
             f"momentum terms of order {m} overflow at anchor w = {w}")
     # A relative error e in g_sigma moves its term by about m e |term|.
-    noise = m * np.abs(terms) * relative_error(sweep.tail_estimate,
-                                               sweep.terms_used)
-    terms = terms[order]
-    noise = noise[order]
+    noise = np.abs(terms)
+    noise *= m
+    noise *= rel
     running = 0j
     shells = []
     shell_sums = []
@@ -233,6 +237,9 @@ def moment_sum(sys, m, w, max_support):
         shell_noise.append(_fsum(noise[lo:hi]))
         running = running + shell_sums[-1]
         shells.append((support, running))
+    # Freed before the floor, measured once per sweep, makes temporaries of
+    # its own: on the first order they would otherwise set the peak memory.
+    del terms, noise
     c_est = _anchor_floor(sys, w, max_support)
     bound = (abs(w - sys.b) ** m
              * geometric_tail(c_est, sys.d, a_abs, max_support + 1, m))

@@ -106,7 +106,17 @@ def test_branch_order_matches_lexsort(d):
     rel[::5, 1] = np.conj(rel[::5, 0])  # a distance tie, broken by angle
     rel[1::5, 1] = rel[1::5, 0]  # a full tie, broken by column
     rel[2::5, :] = np.round(rel[2::5, :])  # ties on single keys
-    assert np.array_equal(branches._branch_order(rel), _lexsort_order(rel))
+    rel[3::25, :] = rel[3::25, :1]  # every column tied, as at v = -kappa
+    # Conjugate pairs, as the closed form gives at real v: the two members
+    # tie in |rel| and the angle breaks the tie.
+    rel[8::25, 1] = np.conj(rel[8::25, 0])
+    rel[8::25, d - 1] = np.conj(rel[8::25, d - 2])
+    rel[13::25, :] = complex("nan+nanj")
+    rel[18::25, :] = np.array([np.inf, -np.inf, complex(0, np.inf),
+                               complex(0, -np.inf)])[:d]
+    order = branches._branch_order(rel)
+    assert np.array_equal(order, _lexsort_order(rel))
+    assert np.array_equal(branches._first_branch(rel), order[:, 0])
 
 
 def test_principal_branch_contracts_to_fixed_point():
@@ -471,9 +481,24 @@ def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
     assert np.all(np.abs(closed(near) - want) <= 1e-14 * np.abs(want))
 
     _flag_every_point_bad(monkeypatch)
-    v = np.concatenate([near, far])
-    assert np.array_equal(branches._principal_step(sys, v, delta, dV),
-                          closed(v))
+    v = np.concatenate([near, far, _tie_rows(sys)])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(branches._principal_step(sys, v, delta, dV),
+                              closed(v), equal_nan=True)
+    # The reference's lexsort sorts NaN keys as equal, the tie rule never
+    # lets a NaN key decide, so the orders are compared on finite rows.
+    rel = branches._closed_roots(sys, v[np.isfinite(v)]) - sys.t_b
+    assert np.array_equal(branches._branch_order(rel), _lexsort_order(rel))
+
+
+def _tie_rows(sys):
+    # Deviations whose closed-form roots tie in |root - t_b|: at v = -kappa
+    # every root is the critical point; at real v < -kappa the quadratic
+    # roots are +-i y and the cubic's two complex roots are conjugate, each
+    # pair tied and broken by angle. The last two rows are not finite.
+    return np.array([-sys.kappa, -sys.kappa - 0.5, -sys.kappa - 3.0,
+                     -4.0 * sys.kappa, complex("nan+nanj"), np.inf],
+                    dtype=np.complex128)
 
 
 def test_root_tolerance_reaches_every_root_solve(monkeypatch):

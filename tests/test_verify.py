@@ -27,6 +27,14 @@ def test_oracle_chebyshev_is_the_cosine():
         assert abs(oracle_chebyshev(z) - eval_f_direct(sys, z)) <= 1e-10
 
 
+def test_oracle_chebyshev_at_large_argument():
+    # The power series summed in double precision cancels to
+    # 7.5e9+5.55e10i here; the reference is cos(sqrt(-2z)) in 40-digit
+    # arithmetic (mpmath).
+    exact = 795.450080242221 + 999.228644337208j
+    assert abs(oracle_chebyshev(-2000 + 500j) - exact) <= 1e-13 * abs(exact)
+
+
 def test_cluster_zeros_groups_coincident_addresses():
     pairs = [("a", 1.0 + 0j), ("b", 1.0 + 1e-12j), ("c", 5.0 + 0j)]
     clusters = cluster_zeros(pairs, 1e-9)

@@ -48,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # circle whose w = b ladder table alone has 19,682 rows. wh at z = -40+3i
 # lies beyond a quarter of the smallest ladder base on every shipped P, so
 # the w = b ladder takes explicit rungs before its closed-form rung sum.
+# At w = -3 Chebyshev's first step has v + kappa = -2, so its two roots
+# are +-i and tie in distance from b: the tie rule's angle decides.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -64,6 +66,7 @@ RUNS = (
     ("zeros", "--max-support", "8", "--tol", "1e-17"),
     ("zeros", "--max-support", "9"),
     ("invert", "--max-support", "9", "--circle", "2,5"),
+    ("invert", "--max-support", "6", "--w=-3,0", "--verify"),
     ("moments", "--w=1e300"),
     ("invert", "--max-support", "2", "--w=nan"),
     ("wh", "--max-support", "2", "--z=inf"),
