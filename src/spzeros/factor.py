@@ -227,14 +227,17 @@ def moment_sum(sys, m, w, max_support):
     noise = np.abs(terms)
     noise *= m
     noise *= rel
+    # The noise is only an error estimate, so a plain sum per shell will do.
+    # reduceat would return an empty segment's first element, not 0, but no
+    # shell up to max_support is empty: shell 0 holds the empty address and
+    # shell n > 0 holds (d - 1) d^(n - 1).
+    shell_noise = np.add.reduceat(noise, edges[:-1]).tolist()
     running = 0j
     shells = []
     shell_sums = []
-    shell_noise = []
     for support in range(max_support + 1):
         lo, hi = edges[support], edges[support + 1]
         shell_sums.append(_complex_sum(terms[lo:hi]))
-        shell_noise.append(_fsum(noise[lo:hi]))
         running = running + shell_sums[-1]
         shells.append((support, running))
     # Freed before the floor, measured once per sweep, makes temporaries of
@@ -300,6 +303,16 @@ def vieta_sums(sys, w, max_support):
     return p1, (p1 * p1 - p2) / 2.0
 
 
+def _log_budget(scale, log_excess):
+    """scale (e^log_excess - 1): the bound on a product of modulus scale
+    whose log is off by at most log_excess. A budget too large for a
+    double is an infinite one."""
+    try:
+        return scale * math.expm1(log_excess)
+    except OverflowError:
+        return math.inf
+
+
 def wh_eval(sys, z, w_anchor, max_support):
     """Evaluate f(z) by its genus-zero product over branch addresses.
 
@@ -363,7 +376,7 @@ def wh_eval(sys, z, w_anchor, max_support):
             / ((LADDER_TERMS + 1) * (1.0 - ratio))
             + far_sum * ladder.rounding / (1.0 - ratio)
         )
-        bound = abs(z) * abs(total) * math.expm1(log_excess)
+        bound = _log_budget(abs(z) * abs(total), log_excess)
         return WHEvaluation(z=z, w_anchor=w,
                             product_value=sys.b + z * total,
                             factors_used=(rungs + 1) * bases.size,
@@ -373,7 +386,7 @@ def wh_eval(sys, z, w_anchor, max_support):
     prod = _pairwise_product(1.0 - z / sweep.values)
     log_excess = abs(z) * geometric_tail(_anchor_floor(sys, w, max_support),
                                          sys.d, a_abs, max_support + 1, 1)
-    bound = abs(sys.b - w) * abs(prod) * math.expm1(log_excess)
+    bound = _log_budget(abs(sys.b - w) * abs(prod), log_excess)
     return WHEvaluation(z=z, w_anchor=w,
                         product_value=w + (sys.b - w) * prod,
                         factors_used=sweep.values.size,

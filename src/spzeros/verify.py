@@ -145,7 +145,8 @@ class CrossCheckReport:
     worst_roundtrip: float
 
 
-def cross_check(sys, samples, max_support, anchor=0j, products=True):
+def cross_check(sys, samples, max_support, anchor=0j, products=True,
+                roundtrip=True):
     """Evaluate f at each sample by three routes and round-trip the branches.
 
     Routes: direct functional iteration, the product anchored at `anchor`,
@@ -153,10 +154,13 @@ def cross_check(sys, samples, max_support, anchor=0j, products=True):
     as an anchor w (skipping w near b), inverts f through every address of
     support <= ROUNDTRIP_SUPPORT, and confirms f(g_sigma(w)) = w by direct
     iteration. With products False only the round trips run (the product
-    routes need d < |a|), and rows is empty.
+    routes need d < |a|), and rows is empty. With roundtrip False no anchor
+    is swept, f is evaluated at the samples alone, roundtrips is empty and
+    worst_roundtrip is 0.
     """
     samples = [complex(z) for z in samples]
-    anchors = [z for z in samples if abs(z - sys.b) > 1e-9]
+    anchors = ([z for z in samples if abs(z - sys.b) > 1e-9]
+               if roundtrip else [])
     solutions = [sweep_products(sys, w, ROUNDTRIP_SUPPORT).values
                  for w in anchors]
     # One eval_f_batch call for the direct route at every sample and every

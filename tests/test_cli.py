@@ -12,6 +12,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spzeros.branches import HypothesisReport
@@ -203,6 +204,53 @@ def test_wh_three_routes(capsys):
     assert len(rows) == 2
     for r in rows:
         assert float(r[8]) <= 1e-6 + float(r[9])
+
+
+def test_wh_budget_beyond_double_range_is_infinite(capsys):
+    # At z = -1e5 the anchored product's log budget overflows expm1: the
+    # row carries an infinite budget instead of a traceback.
+    code, out, err = run_cli(
+        ["wh", CHEB, "--max-support", "4", "--z=-1e5,0"], capsys)
+    assert code == 0
+    assert err == ""
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0][9] == "inf"
+    assert abs(float(rows[0][2]) - math.cos(math.sqrt(2e5))) <= 1e-9
+
+
+def test_wh_runs_no_roundtrip(monkeypatch, capsys):
+    # wh prints no round trip, so f is evaluated at the --z points alone
+    # and no anchor is swept; check still runs both.
+    import spzeros.verify as verify
+
+    evaluated, swept = [], []
+
+    def eval_f_batch(sys_, points):
+        evaluated.append(np.array(points))
+        return real_eval(sys_, points)
+
+    def sweep_products(sys_, w, max_support):
+        swept.append(w)
+        return real_sweep(sys_, w, max_support)
+
+    real_eval, real_sweep = verify.eval_f_batch, verify.sweep_products
+    monkeypatch.setattr(verify, "eval_f_batch", eval_f_batch)
+    monkeypatch.setattr(verify, "sweep_products", sweep_products)
+
+    code, out, _ = run_cli(["wh", CHEB, "--max-support", "6",
+                            "--z=-1.2,0.3", "--z=2,1"], capsys)
+    assert code == 0
+    assert len(read_csv(out)[1]) == 2
+    assert len(evaluated) == 1
+    assert evaluated[0].tolist() == [-1.2 + 0.3j, 2 + 1j]
+    assert swept == []
+
+    code, out, _ = run_cli(["check", CHEB, "--max-support", "6"], capsys)
+    assert code == 0
+    assert len(swept) == 8
+    assert evaluated[1].size > 8
+    assert "\nroundtrip: " in out
 
 
 def test_check_reports_all_invariants(capsys):

@@ -84,3 +84,27 @@ def test_cross_check_reports_agreement():
         for row in report.rows:
             assert row.max_deviation <= 1e-6 + row.claimed_budget
         assert report.worst_roundtrip <= 1e-7
+
+
+@pytest.mark.parametrize("make_system", [chebyshev_system, golden_system])
+def test_cross_check_without_roundtrip(make_system):
+    # Without the round trip only the direct route's batch shrinks: its
+    # depth steps follow the batch, so direct moves by a few ulps at most,
+    # and the product routes keep their bits.
+    sys = make_system()
+    rng = np.random.default_rng(13)
+    samples = 3 * rng.normal(size=6) + 3j * rng.normal(size=6)
+    full = cross_check(sys, samples, 8)
+    bare = cross_check(sys, samples, 8, roundtrip=False)
+    assert full.roundtrips != ()
+    assert bare.roundtrips == ()
+    assert bare.worst_roundtrip == 0.0
+    assert len(bare.rows) == len(full.rows) == 6
+    for row, ref in zip(bare.rows, full.rows):
+        assert row.z == ref.z
+        assert row.product_anchored == ref.product_anchored
+        assert row.product_ladder == ref.product_ladder
+        assert row.claimed_budget == ref.claimed_budget
+        assert abs(row.direct - ref.direct) <= 2.0 ** -50 * abs(ref.direct)
+        if make_system is chebyshev_system:
+            assert abs(row.direct - oracle_chebyshev(row.z)) <= 1e-11

@@ -50,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the w = b ladder takes explicit rungs before its closed-form rung sum.
 # At w = -3 Chebyshev's first step has v + kappa = -2, so its two roots
 # are +-i and tie in distance from b: the tie rule's angle decides.
+# wh at z = -1e5 has a product budget too large for a double: the row
+# prints claimed_budget inf on Chebyshev and golden.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -67,6 +69,7 @@ RUNS = (
     ("zeros", "--max-support", "9"),
     ("invert", "--max-support", "9", "--circle", "2,5"),
     ("invert", "--max-support", "6", "--w=-3,0", "--verify"),
+    ("wh", "--max-support", "4", "--z=-1e5,0"),
     ("moments", "--w=1e300"),
     ("invert", "--max-support", "2", "--w=nan"),
     ("wh", "--max-support", "2", "--z=inf"),
