@@ -47,17 +47,20 @@ _tail_products takes principal steps until |v_K| is below the series'
 entry radius, then evaluates the truncated Taylor series of L there once:
 L(v_0) = a^K L(v_K). The truncation is bounded by Cauchy's estimate on the
 contraction ball. _principal_step inverts V by a checked Newton iteration
-on deviations inside half the contraction ball, which keeps the relative
-error of v at the rounding level no matter how small v gets; beyond it, or
-where Newton fails its check, it takes the principal child alone: for
-unicritical P the one closed-form root that the tie rule puts first, for
-any other P column 0 of the inverse step above.
+on deviations inside half the contraction ball (contraction_delta, cached),
+which keeps the relative error of v at the rounding level no matter how
+small v gets; beyond it, or where Newton fails its check, it takes the
+principal child alone: for unicritical P the one closed-form root that the
+tie rule puts first, for any other P column 0 of the inverse step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
 inverse_branch, g0_and_derivative) run it on a one-node array, and their
-n_cap counts prefix and tail factors together. Every product reads its
-truncation settings, sys.product_tolerance and sys.n_cap, from the system.
+n_cap counts prefix and tail factors together. The principal steps of the
+tail and of the Hypothesis-1 probe are one walker, _principal_orbit, which
+stops each orbit on entering a disc: radius r_s for the tail, the
+contraction radius for the probe. Every product reads its truncation
+settings, sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 """
 
@@ -94,6 +97,8 @@ DELTA_CIRCLE = 32
 # residual is within NEWTON_RESIDUAL |v|, a few roundings of V(x).
 NEWTON_CAP = 12
 NEWTON_RESIDUAL = 8e-16
+# Principal steps the Hypothesis-1 probe allows an orbit to reach the ball.
+HYPOTHESIS_ORBIT_CAP = 500
 # Batched sweeps expand the address tree in subtree chunks of at most this
 # many leaves; chunk boundaries are fixed so thread count cannot reorder work.
 CHUNK_LEAVES = 1 << 16
@@ -386,7 +391,7 @@ def contraction_delta(sys):
     )
 
 
-def _conjugate_newton(sys, v, dV):
+def _conjugate_newton(sys, v):
     """Newton on V for the principal preimage of every deviation in v.
 
     Solves V(x) = v from x = v / a, stepping the whole array until every
@@ -395,6 +400,7 @@ def _conjugate_newton(sys, v, dV):
     that floor at the cap, or when |x| > |v|, since the principal step must
     not move away from b.
     """
+    dV = sys.V.derivative()
     x = v / sys.a
     mag = np.abs(v)
     floor = NEWTON_RESIDUAL * mag
@@ -411,20 +417,20 @@ def _conjugate_newton(sys, v, dV):
     return x, above | ~(np.abs(x) <= mag)
 
 
-def _principal_step(sys, v, delta, dV):
+def _principal_step(sys, v):
     """One principal-branch step on deviations: P_0^{-1}(b + v) - b.
 
-    Deviations inside delta/2 take _conjugate_newton. The rest, and every
-    point it flags bad, take the principal child alone: _closed_principal
-    for unicritical P, column 0 of the inverse step _children for any
-    other. Both keep the rounding error relative to v where u - b would
-    lose digits to cancellation.
+    Deviations inside delta/2 (contraction_delta) take _conjugate_newton.
+    The rest, and every point it flags bad, take the principal child alone:
+    _closed_principal for unicritical P, column 0 of the inverse step
+    _children for any other. Both keep the rounding error relative to v
+    where u - b would lose digits to cancellation.
     """
     out = np.empty_like(v)
-    near = np.abs(v) < 0.5 * delta
+    near = np.abs(v) < 0.5 * contraction_delta(sys)
     solve = ~near
     if near.any():
-        out[near], bad = _conjugate_newton(sys, v[near], dV)
+        out[near], bad = _conjugate_newton(sys, v[near])
         solve[np.flatnonzero(near)[bad]] = True
     if solve.any():
         if sys.crit is not None:
@@ -432,6 +438,30 @@ def _principal_step(sys, v, delta, dV):
         else:
             out[solve] = _children(sys, v[solve])[:, 0]
     return out
+
+
+def _principal_orbit(sys, v, radius, max_steps):
+    """Principal orbits of every deviation in v until they enter |v| < radius.
+
+    Each orbit takes _principal_step until it is inside the disc, at most
+    max_steps times. Returns (last, steps, outside): each orbit's last
+    point, its step count, and the indices of the orbits still outside the
+    disc, in increasing order.
+    """
+    last = v.copy()
+    steps = np.zeros(v.size, dtype=np.int32)
+    work = np.flatnonzero(~(np.abs(v) < radius))
+    cur = v[work]
+    for k in range(1, max_steps + 1):
+        if work.size == 0:
+            break
+        cur = _principal_step(sys, cur)
+        last[work] = cur
+        steps[work] = k
+        out = ~(np.abs(cur) < radius)
+        work = work[out]
+        cur = cur[out]
+    return last, steps, work
 
 
 def _expand_level(sys, v):
@@ -496,13 +526,12 @@ def _koenigs_data(sys):
     """
     ell = _koenigs_coefficients(sys)
     delta = contraction_delta(sys)
-    dV = sys.V.derivative()
     v = delta * np.exp(2j * np.pi * np.arange(DELTA_CIRCLE) / DELTA_CIRCLE)
     scale = 1.0 + 0j
     for _ in range(DELTA_MAX_K):
         if np.max(np.abs(v)) < 0.25 * delta:
             break
-        v = _principal_step(sys, v, delta, dV)
+        v = _principal_step(sys, v)
         scale *= sys.a
     kappa = float(np.max(np.abs(scale * v * _series(ell, v)))) / delta
 
@@ -528,8 +557,8 @@ def _tail_products(sys, v, cap):
     """The principal tail of every deviation: L(v), the product of its
     tail factors times v.
 
-    Returns (tail, steps, tail_estimate, converged). Each leaf takes
-    _principal_step until |v_K| < r_s (_koenigs_data), then one series
+    Returns (tail, steps, tail_estimate, converged). Each leaf walks its
+    _principal_orbit until |v_K| < r_s (_koenigs_data), then one series
     evaluation: L(v) = a^K L(v_K) = a^K v_K S(v_K). steps counts the
     factors, K steps and the series. tail_estimate is the series'
     truncation bound at |v_K|. A leaf still outside the disc after cap - 1
@@ -540,20 +569,7 @@ def _tail_products(sys, v, cap):
     """
     delta = contraction_delta(sys)
     ell, kappa, r_s = _koenigs_data(sys)
-    dV = sys.V.derivative()
-    last = v.copy()
-    count = np.zeros(v.size, dtype=np.int32)
-    work = np.flatnonzero(~(np.abs(v) < r_s))
-    cur = v[work]
-    for k in range(1, cap):
-        if work.size == 0:
-            break
-        cur = _principal_step(sys, cur, delta, dV)
-        last[work] = cur
-        count[work] = k
-        out = ~(np.abs(cur) < r_s)
-        work = work[out]
-        cur = cur[out]
+    last, count, work = _principal_orbit(sys, v, r_s, cap - 1)
     converged = np.full(v.size, cap >= 1)
     converged[work] = False
     tail = last.copy()
@@ -774,12 +790,13 @@ def g0_and_derivative(sys, w):
     return g, 1.0 / slope
 
 
-def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500):
+def check_hypothesis1(sys, grid_radius, grid_count):
     """Probe principal-orbit convergence on concentric circles.
 
     Samples grid_count points on up to 8 circles of radius up to grid_radius
-    centered at the origin and iterates the principal branch, counting steps
-    until the orbit enters the certified contraction ball.
+    centered at the origin and walks each one's _principal_orbit, counting
+    steps until it enters the certified contraction ball; an orbit still
+    outside after HYPOTHESIS_ORBIT_CAP steps has not converged.
     """
     if grid_count < 1:
         raise ValueError("grid_count must be >= 1")
@@ -794,40 +811,17 @@ def check_hypothesis1(sys, grid_radius, grid_count, orbit_cap=500):
         pts.extend(r * np.exp(2j * np.pi * (np.arange(m) + 0.5 * (i % 2)) / m))
     points = np.array(pts, dtype=np.complex128)
 
-    delta = contraction_delta(sys)
-    dV = sys.V.derivative()
-    steps = np.full(points.size, -1, dtype=np.int64)
-    inside0 = np.abs(points - sys.b) < delta
-    steps[inside0] = 0
-    work = np.flatnonzero(~inside0)
-    v = points[work] - sys.b
-    for k in range(1, orbit_cap + 1):
-        if work.size == 0:
-            break
-        v = _principal_step(sys, v, delta, dV)
-        entered = np.abs(v) < delta
-        steps[work[entered]] = k
-        work = work[~entered]
-        v = v[~entered]
-
-    converged = steps >= 0
-    n_conv = int(converged.sum())
-    if n_conv:
-        max_len = int(steps[converged].max())
-    else:
-        max_len = 0
-    if n_conv < points.size:
-        worst = complex(points[np.flatnonzero(~converged)[0]])
-    elif points.size:
-        worst = complex(points[int(np.argmax(steps))])
-    else:
-        worst = 0j
+    _, steps, outside = _principal_orbit(
+        sys, points - sys.b, contraction_delta(sys), HYPOTHESIS_ORBIT_CAP)
+    converged = np.ones(points.size, dtype=bool)
+    converged[outside] = False
+    worst = outside[0] if outside.size else np.argmax(steps)
     return HypothesisReport(
         sampled_points=points.size,
-        converged_points=n_conv,
-        max_orbit_length=max_len,
-        worst_point=worst,
-        passed=n_conv == points.size,
+        converged_points=points.size - outside.size,
+        max_orbit_length=int(steps[converged].max(initial=0)),
+        worst_point=complex(points[worst]),
+        passed=outside.size == 0,
     )
 
 

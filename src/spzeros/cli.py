@@ -85,6 +85,9 @@ HYPOTHESIS_COUNT = 64
 # stay below the sweep's own arrays, where 2^12 raised the peak memory of
 # cubic6's 98,415-row `invert --max-support 9 --circle 2,5` by 1.7 MB.
 BLOCK_ROWS = 1 << 10
+# Largest --png raster, width * height pixels: 64 MiB of uint8, which the
+# PNG writer copies once more.
+PNG_MAX_PIXELS = 1 << 26
 
 __all__ = [
     "ProblemSpec",
@@ -176,11 +179,13 @@ def _parse_png(text):
     if len(parts) == 2:
         try:
             width, height = int(parts[0]), int(parts[1])
-            if width >= 1 and height >= 1:
+            if width >= 1 and height >= 1 and width * height <= PNG_MAX_PIXELS:
                 return width, height
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"expected WIDTHxHEIGHT, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected WIDTHxHEIGHT with at most {PNG_MAX_PIXELS} pixels, "
+        f"got {text!r}")
 
 
 def _parse_circle(text):

@@ -106,11 +106,6 @@ def _support_shells(sys, w, max_support):
     return y, rel, edges.tolist()
 
 
-@lru_cache(maxsize=4)
-def _base_sweep(sys, max_support):
-    return sweep_solutions_at_b(sys, max_support)
-
-
 @dataclass(frozen=True)
 class _LadderSums:
     """Per-sweep data of the w = b ladder, computed once from its bases.
@@ -132,7 +127,7 @@ class _LadderSums:
 
 @lru_cache(maxsize=4)
 def _ladder_sums(sys, max_support):
-    sweep = _base_sweep(sys, max_support)
+    sweep = sweep_solutions_at_b(sys, max_support)
     bases = sweep.values
     a_abs = abs(sys.a)
     inv = 1.0 / bases
@@ -199,24 +194,34 @@ def closed_form_momentum(sys, m, w):
     return total
 
 
+def _require_support(max_support):
+    """Tail bounds rest on the growth floor of the addresses of support
+    1 .. max_support, so they need at least one."""
+    if max_support < 1:
+        raise ValidationError(
+            f"tail bounds need max_support >= 1, got {max_support}")
+
+
 def moment_sum(sys, m, w, max_support):
     """Momentum sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support.
 
     Shell sums are exactly rounded (compensated) and accumulated shell by
-    shell in ascending support order. Requires w != b and absolute
-    convergence d |a|^-m < 1.
+    shell in ascending support order. Requires w != b, absolute
+    convergence d |a|^-m < 1 and max_support >= 1.
     """
     if m < 1:
         raise ValueError("momentum order must be >= 1")
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
-        raise ValueError("momenta need an anchor away from the fixed point")
+        raise ValidationError(
+            f"momenta need an anchor away from the fixed point b = {sys.b}")
     a_abs = abs(sys.a)
     q = sys.d * a_abs ** (-m)
     if q >= 1.0:
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
+    _require_support(max_support)
     y, rel, edges = _support_shells(sys, w, max_support)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = y ** m
@@ -338,13 +343,14 @@ def wh_eval(sys, z, w_anchor, max_support):
     rounding of the S_m reductions. factors_used counts the explicit
     factors plus the bases summed once.
 
-    Requires d < |a|; z = 0 returns b exactly.
+    Requires d < |a| and max_support >= 1; z = 0 returns b exactly.
     """
     a_abs = abs(sys.a)
     if sys.d >= a_abs:
         raise OrderTooLarge(
             f"product form needs d < |a|, got d = {sys.d}, |a| = {a_abs:.6f}"
         )
+    _require_support(max_support)
     z = complex(z)
     w = complex(w_anchor)
     if not cmath.isfinite(z):

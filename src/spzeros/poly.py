@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import FixedPointViolation, NonConvergence
 
-# Aberth-Ehrlich defaults: residual threshold is relative to scale(p, w).
+# Aberth-Ehrlich: the default residual threshold, relative to scale(p, w),
+# and the sweeps after which roots_batch raises NonConvergence.
 ROOT_TOLERANCE = 1e-13
 MAX_ROOT_ITERATIONS = 200
 
@@ -102,7 +103,7 @@ def _initial_guesses(p, w):
     return center + radius[:, None] * ring[None, :]
 
 
-def roots_batch(p, w, root_tolerance=ROOT_TOLERANCE, max_iterations=MAX_ROOT_ITERATIONS):
+def roots_batch(p, w, root_tolerance=ROOT_TOLERANCE):
     """Solve p(z) = w_i simultaneously for a batch of right-hand sides.
 
     Parameters
@@ -113,8 +114,6 @@ def roots_batch(p, w, root_tolerance=ROOT_TOLERANCE, max_iterations=MAX_ROOT_ITE
         Right-hand sides.
     root_tolerance : float
         Per-point residual threshold, relative to scale(p, w_i).
-    max_iterations : int
-        Cap on Aberth-Ehrlich sweeps before giving up.
 
     Returns
     -------
@@ -146,7 +145,7 @@ def roots_batch(p, w, root_tolerance=ROOT_TOLERANCE, max_iterations=MAX_ROOT_ITE
     zw = w.copy()
     eye = np.eye(d, dtype=bool)
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ROOT_ITERATIONS):
         pz = p.eval_array(z) - zw[:, None]
         res = np.abs(pz).max(axis=1)
         done = res <= thresh[active]
@@ -175,7 +174,7 @@ def roots_batch(p, w, root_tolerance=ROOT_TOLERANCE, max_iterations=MAX_ROOT_ITE
 
     raise NonConvergence(
         f"Aberth-Ehrlich left {active.size} point(s) above tolerance "
-        f"after {max_iterations} iterations"
+        f"after {MAX_ROOT_ITERATIONS} iterations"
     )
 
 
@@ -189,10 +188,10 @@ def _polish_roots(p, dp, roots, w):
     return np.where(improved, cand, roots)
 
 
-def all_roots(p, w, root_tolerance=ROOT_TOLERANCE, max_iterations=MAX_ROOT_ITERATIONS):
+def all_roots(p, w, root_tolerance=ROOT_TOLERANCE):
     """All d roots of p(z) = w, repeated roots returned as a multiset.
 
     Returned sorted by (real, imaginary) for reproducibility.
     """
-    roots = roots_batch(p, np.array([w]), root_tolerance, max_iterations)[0]
+    roots = roots_batch(p, np.array([w]), root_tolerance)[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))

@@ -24,6 +24,8 @@ from .errors import (
 )
 from .poly import ComplexPolynomial, all_roots, q_polynomial
 
+# A fixed point with |b| at or below this is 0, which is excluded; it also
+# bounds the residual |P(b) - b| that q_polynomial accepts.
 FIXED_POINT_TOLERANCE = 1e-12
 # P counts as unicritical when each Taylor coefficient of order 1 .. d-1 at
 # c = -c_{d-1} / (d c_d) is at most this fraction of the sum of its terms'
@@ -102,8 +104,7 @@ def unicritical_point(P):
 
 
 def build_system(P, fixed_point_hint, root_tolerance=1e-13,
-                 product_tolerance=1e-12, n_cap=200,
-                 fixed_point_tolerance=FIXED_POINT_TOLERANCE):
+                 product_tolerance=1e-12, n_cap=200):
     """Locate the repelling fixed point nearest the hint and assemble a system.
 
     Parameters
@@ -149,14 +150,14 @@ def build_system(P, fixed_point_hint, root_tolerance=1e-13,
             break
         b = b - (P.eval(b) - b) / denom
 
-    if abs(b) <= fixed_point_tolerance:
+    if abs(b) <= FIXED_POINT_TOLERANCE:
         raise ZeroFixedPoint("fixed point at the origin is excluded")
     a = dP.eval(b)
     if abs(a) <= 1.0:
         raise NoRepellingFixedPoint(
             f"|P'(b)| = {abs(a):.6f} <= 1 at b = {b}; need a repelling fixed point"
         )
-    Q = q_polynomial(P, b, fixed_point_tolerance)
+    Q = q_polynomial(P, b, FIXED_POINT_TOLERANCE)
 
     # Taylor shift: V(v) = P(b + v) - b with the constant pinned to 0 and the
     # linear coefficient pinned to a, so the conjugacy is exact at the origin.

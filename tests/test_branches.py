@@ -261,6 +261,56 @@ def test_hypothesis_probe_passes_on_examples():
         assert rep.converged_points == rep.sampled_points == 32
 
 
+def _probe_grid(radius, count):
+    # The probe's grid: `count` points on min(8, count) circles of radii
+    # radius * i / circles, the odd circles turned by half a spacing.
+    circles = min(8, count)
+    base, extra = divmod(count, circles)
+    pts = []
+    for i in range(1, circles + 1):
+        m = base + (1 if i <= extra else 0)
+        pts += [radius * i / circles * np.exp(2j * np.pi * (k + 0.5 * (i % 2))
+                                              / m) for k in range(m)]
+    return pts
+
+
+def _scalar_orbit_length(sys, z, cap):
+    # Principal steps by principal_branch, one point at a time, until
+    # |u - b| < contraction_delta; None when cap steps do not get there.
+    delta = contraction_delta(sys)
+    u = complex(z)
+    for steps in range(cap + 1):
+        if abs(u - sys.b) < delta:
+            return steps
+        u = principal_branch(sys, u)
+    return None
+
+
+def test_hypothesis_orbit_lengths_match_scalar_walk():
+    grid = _probe_grid(10.0, 32)
+    for sys in (chebyshev_system(), golden_system(), cubic_system()):
+        lengths = [_scalar_orbit_length(sys, z, 100) for z in grid]
+        rep = check_hypothesis1(sys, 10.0, 32)
+        assert rep.passed and None not in lengths
+        assert rep.max_orbit_length == max(lengths) >= 2
+        assert rep.worst_point == grid[lengths.index(max(lengths))]
+
+
+def test_hypothesis_probe_reports_unconverged_orbits(monkeypatch):
+    sys = chebyshev_system()
+    grid = _probe_grid(10.0, 32)
+    lengths = [_scalar_orbit_length(sys, z, 1) for z in grid]
+    assert None in lengths and lengths.count(None) < len(grid)
+    monkeypatch.setattr(branches, "HYPOTHESIS_ORBIT_CAP", 1)
+    rep = check_hypothesis1(sys, 10.0, 32)
+    assert not rep.passed
+    assert rep.sampled_points == 32
+    assert rep.converged_points == 32 - lengths.count(None)
+    assert rep.worst_point == grid[lengths.index(None)]
+    assert rep.max_orbit_length == max(n for n in lengths if n is not None)
+    assert rep.max_orbit_length <= 1
+
+
 def test_growth_floor_positive_and_stable():
     for sys in (chebyshev_system(), golden_system(), cubic_system()):
         sweep = sweep_products(sys, 0j, 5)
@@ -417,13 +467,12 @@ def _log_spread_deviations(rng, count, top):
 def test_principal_step_matches_reference_newton(coeffs, hint):
     sys = build_system(ComplexPolynomial(coeffs), hint)
     delta = contraction_delta(sys)
-    dV = sys.V.derivative()
     v = _log_spread_deviations(np.random.default_rng(71), 300, 0.49 * delta)
-    x = branches._principal_step(sys, v, delta, dV)
+    x = branches._principal_step(sys, v)
     want = _reference_inverse(coeffs, hint, v)
     assert np.all(np.abs(x) < np.abs(v))
     assert np.all(np.abs(x - want) <= 1e-14 * np.abs(want))
-    _, bad = branches._conjugate_newton(sys, v, dV)
+    _, bad = branches._conjugate_newton(sys, v)
     assert not bad.any()
 
 
@@ -434,26 +483,25 @@ def _root_solver_route(sys, v):
 
 def _flag_every_point_bad(monkeypatch):
     newton = branches._conjugate_newton
-    monkeypatch.setattr(branches, "_conjugate_newton", lambda s, v, d: (
-        newton(s, v, d)[0], np.ones(v.size, dtype=bool)))
+    monkeypatch.setattr(branches, "_conjugate_newton", lambda s, v: (
+        newton(s, v)[0], np.ones(v.size, dtype=bool)))
 
 
 @pytest.mark.parametrize("coeffs,hint", STEP_SYSTEMS)
 def test_principal_step_root_solver_route(coeffs, hint, monkeypatch):
     sys = _general(build_system(ComplexPolynomial(coeffs), hint))
     delta = contraction_delta(sys)
-    dV = sys.V.derivative()
     rng = np.random.default_rng(72)
     far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
-    assert np.array_equal(branches._principal_step(sys, far, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, far),
                           _root_solver_route(sys, far))
 
     _flag_every_point_bad(monkeypatch)
     near = rng.uniform(0.0, 0.49 * delta, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
     v = np.concatenate([near, far])
-    assert np.array_equal(branches._principal_step(sys, v, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, v),
                           _root_solver_route(sys, v))
 
 
@@ -469,12 +517,11 @@ def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
     # the principal column of the closed form instead of the root solver.
     sys = build_system(ComplexPolynomial(coeffs), hint)
     delta = contraction_delta(sys)
-    dV = sys.V.derivative()
     rng = np.random.default_rng(73)
     far = rng.uniform(0.5 * delta, 3.0, 50) * np.exp(
         2j * np.pi * rng.uniform(size=50))
     closed = lambda v: branches._closed_children(sys, v)[:, 0]  # noqa: E731
-    assert np.array_equal(branches._principal_step(sys, far, delta, dV),
+    assert np.array_equal(branches._principal_step(sys, far),
                           closed(far))
     near = _log_spread_deviations(rng, 50, 0.49 * delta)
     want = _reference_inverse(coeffs, hint, near)
@@ -483,7 +530,7 @@ def test_principal_step_closed_form_route(coeffs, hint, monkeypatch):
     _flag_every_point_bad(monkeypatch)
     v = np.concatenate([near, far, _tie_rows(sys)])
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(branches._principal_step(sys, v, delta, dV),
+        assert np.array_equal(branches._principal_step(sys, v),
                               closed(v), equal_nan=True)
     # The reference's lexsort sorts NaN keys as equal, the tie rule never
     # lets a NaN key decide, so the orders are compared on finite rows.
@@ -578,9 +625,11 @@ def test_product_settings_reach_every_product(monkeypatch, tmp_path):
                                    "-o", str(tmp_path / "check.txt")]),
     }
     evaluating = {"g0_and_derivative", "cross_check", "check"}
+    caches = [f for f in vars(factor).values() if hasattr(f, "cache_clear")]
+    assert {"_anchor_sweep", "_anchor_floor", "_support_shells",
+            "_ladder_sums"} <= {f.__name__ for f in caches}
     for name, run in runs.items():
-        for cached in (factor._anchor_sweep, factor._support_shells,
-                       factor._base_sweep):
+        for cached in caches:
             cached.cache_clear()
         seen.clear()
         run()

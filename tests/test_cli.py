@@ -1,5 +1,6 @@
 """Command-line interface: CSV schemas, ordering, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from spzeros.branches import HypothesisReport
-from spzeros.cli import main
+from spzeros.cli import _parse_png, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -358,6 +359,7 @@ def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
     ["invert", CHEB, "--circle", "0,3"],
     ["invert", CHEB, "--max-support", "x"],
     ["moments", CHEB, "--m", "0"],
+    ["zeros", CHEB, "--png", "100000x100000"],
     ["frobnicate", CHEB],
     ["zeros"],
 ])
@@ -368,6 +370,32 @@ def test_usage_error_exit_code(args, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", CHEB, "--max-support", "0"],
+    ["wh", CHEB, "--max-support", "0", "--z=1,0"],
+    ["check", CHEB, "--max-support", "0"],
+    ["moments", CHEB, "--w=1"],
+])
+def test_input_without_tail_bound_exit_code(args, capsys):
+    # max_support 0 leaves no address for the growth floor of the tail
+    # bounds, and w = 1 is Chebyshev's fixed point, where no momentum is
+    # defined: one error line and exit 1, before any row.
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_png_size_bound():
+    # At most 2^26 pixels, checked by the parser before any raster exists.
+    assert _parse_png("8192x8192") == (8192, 8192)
+    assert _parse_png("1x67108864") == (1, 1 << 26)
+    for text in ("8193x8192", "1x67108865", "100000x100000"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_png(text)
 
 
 def test_help_exit_code(capsys):

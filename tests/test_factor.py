@@ -23,7 +23,7 @@ from spzeros import (
     vieta_sums,
     wh_eval,
 )
-from spzeros.factor import _base_sweep, _geometric_completion, _pairwise_product
+from spzeros.factor import _geometric_completion, _ladder_sums, _pairwise_product
 from spzeros.verify import (
     chebyshev_system,
     cubic_system,
@@ -191,7 +191,7 @@ def test_ladder_within_budget_of_chebyshev_oracle():
     # -40 + 3j and -2000 + 500j take some before the closed-form sum.
     sys = chebyshev_system()
     depth = 12
-    bases = _base_sweep(sys, depth).values
+    bases = _ladder_sums(sys, depth).bases
     near = 0.25 * np.min(np.abs(bases))
     for z, explicit in ((2 - 1j, False), (-40 + 3j, True),
                         (-2000 + 500j, True)):
@@ -206,7 +206,7 @@ def test_ladder_sum_matches_explicit_rungs():
     # The same enumerated bases multiplied rung by rung until the dropped
     # rungs are below 1e-17 relative, against the closed-form rung sum.
     for sys, depth in ((golden_system(), 6), (cubic_system(), 4)):
-        bases = _base_sweep(sys, depth).values
+        bases = _ladder_sums(sys, depth).bases
         g_min = float(np.min(np.abs(bases)))
         for z in (0.7 - 0.4j, 2 + 1j, -15 + 2j, 60 - 30j):
             total = 1.0 + 0j

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from spzeros import ComplexPolynomial, all_roots, q_polynomial, roots_batch
+from spzeros import (
+    ComplexPolynomial,
+    NonConvergence,
+    all_roots,
+    build_system,
+    principal_branch,
+    q_polynomial,
+    roots_batch,
+)
+from spzeros import poly
 
 
 def test_polynomial_eval_matches_numpy():
@@ -91,3 +100,15 @@ def test_q_polynomial_rejects_non_fixed_point():
     p = ComplexPolynomial((-1 + 0j, 0j, 2 + 0j))
     with pytest.raises(FixedPointViolation):
         q_polynomial(p, 0.4 + 0j)  # P(0.4) = -0.68 != 0.4
+
+
+def test_aberth_raises_at_its_iteration_cap(monkeypatch):
+    # z^3 - z + 1 is not unicritical, so its inverse branches come from the
+    # root solver, which gives up after MAX_ROOT_ITERATIONS sweeps.
+    sys = build_system(ComplexPolynomial((1 + 0j, -1 + 0j, 0j, 1 + 0j)), 1.0)
+    assert sys.crit is None
+    monkeypatch.setattr(poly, "MAX_ROOT_ITERATIONS", 1)
+    with pytest.raises(NonConvergence, match="after 1 iterations"):
+        principal_branch(sys, 0.3 + 0.1j)
+    with pytest.raises(NonConvergence, match="after 1 iterations"):
+        roots_batch(sys.P, np.array([0.3 + 0.1j, -2.0 + 0j]))

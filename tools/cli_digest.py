@@ -9,9 +9,12 @@ against this checkout's src/. Prints one line per run:
 Two checkouts whose digests are equal print the same bytes on every run,
 so diffing the digests of two commits shows whether a change kept the
 output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last five runs feed the CLI bad input: an anchor whose
-momentum terms overflow, three non-finite values and an anchor with three
-parts, which the argument parser rejects.
+a traceback. The last ten runs feed the CLI bad input: an anchor whose
+momentum terms overflow, three non-finite values, an anchor with three
+parts, which the argument parser rejects, max_support 0 for the three
+commands whose tail bounds need an address of support >= 1, the momenta
+at w = 1 (Chebyshev's fixed point; on the other problems an ordinary
+anchor), and a --png raster one column over the size bound.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -51,7 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # At w = -3 Chebyshev's first step has v + kappa = -2, so its two roots
 # are +-i and tie in distance from b: the tie rule's angle decides.
 # wh at z = -1e5 has a product budget too large for a double: the row
-# prints claimed_budget inf on Chebyshev and golden.
+# prints claimed_budget inf on Chebyshev and golden. The PNG of the last
+# run is written to os.devnull wherever the size is accepted.
 RUNS = (
     ("zeros", "--max-support", "6"),
     ("invert", "--max-support", "5", "--w=-2,0.5", "--verify"),
@@ -75,6 +79,12 @@ RUNS = (
     ("wh", "--max-support", "2", "--z=inf"),
     ("zeros", "--max-support", "2", "--tol", "nan"),
     ("invert", "--w=1,2,3"),
+    ("moments", "--max-support", "0"),
+    ("wh", "--max-support", "0", "--z=1,0"),
+    ("check", "--max-support", "0"),
+    ("moments", "--w=1"),
+    ("zeros", "--max-support", "2", "--png", "8193x8192",
+     "--png-path", os.devnull),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
