@@ -18,12 +18,12 @@ digit-string lexicographic order), so byte-identical output does not depend
 on SPZEROS_THREADS.
 
 The tables of zeros and invert, one row per address, are written by one
-block writer, BLOCK_ROWS rows per write: the address column comes from the
-padded indices in one numpy pass, and each row is one f-string over the
-listed columns. It prints the bytes csv.writer printed with
-format(x, ".17g") for every float (tests/test_output.py holds that per-row
-writer as the reference). The few rows of moments and wh go through
-csv.writer.
+block writer, BLOCK_ROWS rows per write: every column of a block is a
+NUL-padded uint8 matrix built by whole-array arithmetic (spzeros.fields),
+and the block is the columns side by side with every NUL deleted. It
+prints the bytes csv.writer printed with format(x, ".17g") for every float
+(tests/test_output.py holds that per-row writer as the reference). The few
+rows of moments and wh go through csv.writer.
 """
 
 import argparse
@@ -47,6 +47,7 @@ from .branches import (
 )
 from .errors import ParseError, SPZerosError, ValidationError
 from .factor import moment_sum
+from .fields import digit_fields, float_fields, int_fields
 from .pngwriter import scatter_png
 from .problemfile import (
     ProblemSpec,
@@ -80,11 +81,12 @@ SLOPE_SLACK = 8.0
 # Hypothesis-1 probe grid used by cmd_check and --check-hypothesis.
 HYPOTHESIS_RADIUS = 10.0
 HYPOTHESIS_COUNT = 64
-# Rows of zeros and invert formatted per write. Formatting the floats costs
-# the same at any block size from 2^8 to 2^13; at 2^10 a block's strings
-# stay below the sweep's own arrays, where 2^12 raised the peak memory of
-# cubic6's 98,415-row `invert --max-support 9 --circle 2,5` by 1.7 MB.
-BLOCK_ROWS = 1 << 10
+# Rows of zeros and invert formatted per write. A write makes the same
+# numpy calls at any size, so 2^10 rows took 1.1-1.3 us per row of the
+# depth-16 Chebyshev table against 0.8-1.1 us at 2^12. A block's matrices
+# raise the peak memory of cubic6's 98,415-row `invert --max-support 9
+# --circle 2,5` from 39.1 MB at 2^10 to 40.5-40.8 MB at 2^12.
+BLOCK_ROWS = 1 << 12
 # Largest --png raster, width * height pixels: 64 MiB of uint8, which the
 # PNG writer copies once more.
 PNG_MAX_PIXELS = 1 << 26
@@ -103,26 +105,12 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _address_column(idx, d, depth):
-    """Canonical address of each padded index, as csv.writer writes it:
-    digits run together for d <= 10; for d > 10 they are comma-separated,
-    and quoted once they hold a comma."""
-    if depth == 0:
-        return [""] * idx.size
-    powers = d ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    digits = idx[:, None] // powers % d
-    # Trailing zeros are not part of the canonical address.
-    keep = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
-    if d <= 10:
-        # A numpy string ends at its first trailing NUL, so the masked
-        # zeros drop out of the view.
-        chars = np.where(keep, digits + ord("0"), 0).astype(np.uint32)
-        return chars.view(f"U{depth}").ravel().tolist()
-    column = []
-    for row, support in zip(digits.tolist(), keep.sum(axis=1).tolist()):
-        text = ",".join(map(str, row[:support]))
-        column.append(f'"{text}"' if support >= 2 else text)
-    return column
+def _ascii(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+_COMMA, _NEWLINE = _ascii(","), _ascii("\n")
+_TRUE, _FALSE = _ascii(",true\0"), _ascii(",false")
 
 
 def _write_rows(fh, sweep, w=None, pref=None, flags=False):
@@ -132,25 +120,34 @@ def _write_rows(fh, sweep, w=None, pref=None, flags=False):
     re, im, terms_used, tail_estimate, then the row's entry of `pref`
     (invert's prefactor_exponent) when given and, with `flags`, the
     converged column. Each float is printed as format(x, ".17g") prints it.
+    A block is one uint8 matrix of NUL-padded fields (spzeros.fields),
+    written with its NULs deleted.
     """
-    lead = "," if w is None else f",{w.real:.17g},{w.imag:.17g},"
+    lead = _COMMA
+    if w is not None:
+        w_re, w_im = float_fields([w.real, w.imag])
+        lead = np.concatenate([_COMMA, w_re, _COMMA, w_im, _COMMA])
     size = sweep.values.size
     for lo in range(0, size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, size)
+        n = hi - lo
         idx = np.arange(lo, hi, dtype=np.int64) + sweep.offset
-        ends = [""] * (hi - lo)
+        floats = float_fields(np.concatenate([
+            sweep.values.real[lo:hi], sweep.values.imag[lo:hi],
+            sweep.tail_estimate[lo:hi]]))
+        fields = [digit_fields(idx, sweep.d, sweep.depth), lead,
+                  floats[:n], _COMMA, floats[n:2 * n], _COMMA,
+                  int_fields(sweep.terms_used[lo:hi]), _COMMA, floats[2 * n:]]
         if pref is not None:
-            ends = ["," + p for p in pref[lo:hi]]
+            fields += [_COMMA, np.array(pref[lo:hi], dtype="S")
+                       .view(np.uint8).reshape(n, -1)]
         if flags:
-            ends = [e + f for e, f in zip(ends, np.where(
-                sweep.converged[lo:hi], ",true", ",false").tolist())]
-        rows = zip(_address_column(idx, sweep.d, sweep.depth),
-                   sweep.values.real[lo:hi].tolist(),
-                   sweep.values.imag[lo:hi].tolist(),
-                   sweep.terms_used[lo:hi].tolist(),
-                   sweep.tail_estimate[lo:hi].tolist(), ends)
-        fh.write("".join([f"{s}{lead}{re:.17g},{im:.17g},{t},{e:.17g}{x}\n"
-                          for s, re, im, t, e, x in rows]))
+            fields.append(np.where(sweep.converged[lo:hi, None],
+                                   _TRUE, _FALSE))
+        fields.append(_NEWLINE)
+        block = np.concatenate(
+            [np.broadcast_to(f, (n, f.shape[-1])) for f in fields], axis=1)
+        fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _require_finite(value, text):
@@ -312,15 +309,16 @@ def _roundtrip_budget(sys_, w, sweep):
 
 
 def cmd_invert(spec, args):
+    anchors = [args.w]
+    if args.circle is not None:
+        radius, count = args.circle
+        # The tables of all anchors are held until the first row is written.
+        check_enumeration_size(spec.degree, spec.max_support, tables=count)
+        anchors = [radius * cmath.exp(2j * math.pi * k / count)
+                   for k in range(count)]
     sys_ = system_from_spec(spec)
     if args.check_hypothesis and not _hypothesis_gate(sys_):
         return 3
-    if args.circle is not None:
-        radius, count = args.circle
-        anchors = [radius * cmath.exp(2j * math.pi * k / count)
-                   for k in range(count)]
-    else:
-        anchors = [args.w]
 
     blocks = []
     all_ok = True

@@ -86,16 +86,21 @@ def _require_pair(value, name):
                    _require_number(value[1], name))
 
 
-def check_enumeration_size(degree, max_support):
+def check_enumeration_size(degree, max_support, tables=1):
+    """Refuse max_support when `tables` tables of degree^max_support rows,
+    held at once, would exceed 2^24 rows."""
     if max_support < 0:
         raise ValidationError("max_support must be nonnegative")
     if max_support > 24:
         raise ValidationError("max_support must be at most 24")
     # Peak memory grows by about 110 B per row, so 2^24 rows take about
     # 1.9 GB: depth 24 for d = 2, 15 for d = 3, 12 for d = 4.
-    if degree ** max_support > 2 ** 24:
+    if tables * degree ** max_support > 2 ** 24:
+        size = f"{degree}^{max_support}"
+        if tables > 1:
+            size = f"{tables} x {size}"
         raise ValidationError(
-            f"enumeration size {degree}^{max_support} exceeds 2^24 rows, "
+            f"enumeration size {size} exceeds 2^24 rows, "
             "about 1.9 GB of memory")
 
 

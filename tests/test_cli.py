@@ -324,6 +324,25 @@ def test_oversized_override_refused(capsys):
     assert "2^24" in err
 
 
+@pytest.mark.parametrize("depth, circle", [("24", "1,4"),
+                                          ("2", "1,1000000000")])
+def test_oversized_circle_refused(depth, circle, monkeypatch, capsys):
+    # K tables of d^N rows are held at once, so K d^N is bounded like d^N;
+    # the check comes before any anchor, system or sweep.
+    from spzeros import cli
+
+    def no_system(spec):
+        raise AssertionError("system built for a refused circle")
+
+    monkeypatch.setattr(cli, "system_from_spec", no_system)
+    code, out, err = run_cli(
+        ["invert", CHEB, "--max-support", depth, "--circle", circle], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "2^24" in err
+
+
 @pytest.mark.parametrize("args, edit", [
     (["invert", "--w=nan"], None),
     (["invert", "--w=inf"], None),

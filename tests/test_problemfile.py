@@ -13,6 +13,7 @@ from spzeros import (
     serialize_problem,
     system_from_spec,
 )
+from spzeros.problemfile import check_enumeration_size
 
 GOLDEN_TEXT = """
 {
@@ -115,6 +116,13 @@ def test_rejects_oversized_enumeration():
     spec = parse_problem(text.replace('"max_support": 12',
                                       '"max_support": 15'))
     assert spec.max_support == 15
+
+
+def test_enumeration_bound_counts_every_table():
+    # invert --circle R,K holds K tables of d^N rows at once.
+    check_enumeration_size(2, 22, tables=4)
+    with pytest.raises(ValidationError, match="5 x 2\\^22 exceeds 2\\^24"):
+        check_enumeration_size(2, 22, tables=5)
 
 
 def test_rejects_bad_tolerances_and_cap():

@@ -9,18 +9,22 @@ against this checkout's src/. Prints one line per run:
 Two checkouts whose digests are equal print the same bytes on every run,
 so diffing the digests of two commits shows whether a change kept the
 output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last ten runs feed the CLI bad input: an anchor whose
+a traceback. The last eleven runs feed the CLI bad input: an anchor whose
 momentum terms overflow, three non-finite values, an anchor with three
 parts, which the argument parser rejects, max_support 0 for the three
 commands whose tail bounds need an address of support >= 1, the momenta
 at w = 1 (Chebyshev's fixed point; on the other problems an ordinary
-anchor), and a --png raster one column over the size bound.
+anchor), a --png raster one column over the size bound, and an invert
+circle of a billion anchors, whose tables together exceed 2^24 rows. A
+checkout that lacks that bound would try to build the billion anchors, so
+run this tool there without that run.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
-solver, and Chebyshev at n_cap 2, whose tails stop at the cap: their
-problem files are written to a temporary directory, and the runs of
-GENERAL_RUNS name them by file name alone.
+solver, and Chebyshev at n_cap 2, whose tails stop at the cap. WIDE is a P
+of degree 11, whose addresses are comma-separated and, from two digits
+on, quoted. Their problem files are written to a temporary directory, and
+the runs of GENERAL_RUNS and WIDE_RUNS name them by file name alone.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
@@ -85,6 +89,7 @@ RUNS = (
     ("moments", "--w=1"),
     ("zeros", "--max-support", "2", "--png", "8193x8192",
      "--png-path", os.devnull),
+    ("invert", "--circle", "1,1000000000"),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
@@ -120,6 +125,18 @@ GENERAL_RUNS = (
     ("moments", "--max-support", "5"),
     ("check", "--max-support", "5"),
 )
+# P(z) = 2 z^11 - 1 (b = 1, a = 22). Its runs stay at depth 2, 121 rows:
+# depth 5 would be 161,051, and check takes about 15 s even at depth 2.
+WIDE = (
+    "2z11-1.json",
+    {"coefficients": [[-1.0, 0.0]] + [[0.0, 0.0]] * 10 + [[2.0, 0.0]],
+     "fixed_point_hint": [1.0, 0.0], "max_support": 2,
+     "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-13},
+    "1")
+WIDE_RUNS = (
+    ("zeros", "--max-support", "2"),
+    ("invert", "--max-support", "2", "--w=-2,0.5", "--verify"),
+)
 
 
 def _digest(env, argv, shown):
@@ -137,11 +154,11 @@ def _digest(env, argv, shown):
 def main():
     problems = sorted((ROOT / "problems").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        general = []
-        for name, problem, b in GENERAL:
+        paths = {}
+        for name, problem, _ in (*GENERAL, WIDE):
             path = Path(tmp) / name
             path.write_text(json.dumps(problem))
-            general.append((name, str(path), b))
+            paths[name] = str(path)
         for threads in ("1", "2"):
             env = dict(os.environ, SPZEROS_THREADS=threads,
                        PYTHONPATH=str(ROOT / "src"))
@@ -149,11 +166,13 @@ def main():
                 for problem in problems:
                     argv = [command, str(problem.relative_to(ROOT)), *rest]
                     _digest(env, argv, argv)
-            for command, *rest in GENERAL_RUNS:
-                for name, path, b in general:
-                    rest_b = [arg.format(b=b) for arg in rest]
-                    _digest(env, [command, path, *rest_b],
-                            [command, name, *rest_b])
+            for runs, entries in ((GENERAL_RUNS, GENERAL),
+                                  (WIDE_RUNS, (WIDE,))):
+                for command, *rest in runs:
+                    for name, _, b in entries:
+                        rest_b = [arg.format(b=b) for arg in rest]
+                        _digest(env, [command, paths[name], *rest_b],
+                                [command, name, *rest_b])
 
 
 if __name__ == "__main__":
