@@ -11,8 +11,10 @@ The value attached to an address at anchor w != b is
     u_n = P_{sigma_n}^{-1}(u_{n-1}),
 
 which enumerates all solutions of f(z) = w. At w = 0 these are the zeros of
-f. The w = b case degenerates; solutions of f(z) = b instead come in
-geometric ladders a^m * base over addresses whose first digit is nonzero.
+f. The w = b case degenerates; solutions of f(z) = b are 0 and geometric
+ladders a^m * base over addresses whose first digit is nonzero. The walk
+reaches them from v = 0: leading zero digits hold v at exactly 0, and the
+first nonzero digit jumps to a preimage of b itself.
 
 Numerically the product is carried in telescoped form. Since
 Q(u_n) = (u_{n-1} - b) / (u_n - b), the partial products collapse to
@@ -630,12 +632,17 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _sweep_from_seeds(sys, seeds_v, levels, depth, offset):
+def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, at_b=False):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
     The telescoped value of a leaf is a^depth times its principal tail
     L(v_leaf), regardless of how the prefix interleaved principal and
-    nonzero digits.
+    nonzero digits. With at_b the seed is v = 0, the degenerate anchor.
+    Leading zero digits keep v at exactly 0, so index segment
+    [d^(K-1), d^K), the addresses with depth - K leading zeros, reaches the
+    leaves of the depth-K ladder sweep (sweep_solutions_at_b). Each of its
+    rows is that sweep's a^K L(v_leaf) times a^(depth-K), with K prefix
+    factors. Index 0 is the solution 0.
     """
     v = seeds_v
     # Serial expansion until one seed subtree fits a chunk.
@@ -654,16 +661,25 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset):
         for _ in range(levels):
             cv = _expand_level(sys, cv)
         tail, steps, est, conv = _tail_products(sys, cv, sys.n_cap)
-        return renorm * tail, steps, est, conv
+        return tail if at_b else renorm * tail, steps, est, conv
 
     results = _run_ordered(
         [lambda lo=lo, hi=hi: chunk_task(lo, hi) for lo, hi in spans],
         thread_limit(),
     )
     values = np.concatenate([r[0] for r in results])
-    steps = np.concatenate([r[1] for r in results])
+    steps = np.concatenate([r[1] for r in results]).astype(np.int32)
     est = np.concatenate([r[2] for r in results])
     conv = np.concatenate([r[3] for r in results])
+    if at_b:
+        for K in range(1, depth + 1):
+            lo, hi = sys.d ** (K - 1), sys.d ** K
+            rung = sys.a ** K * values[lo:hi]
+            values[lo:hi] = sys.a ** (depth - K) * rung
+            steps[lo:hi] += K
+        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
+    else:
+        steps += depth
 
     return BranchSweep(
         depth=depth,
@@ -672,7 +688,7 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset):
         offset=offset,
         values=values,
         support=_supports_from_indices(offset, values.size, sys.d, depth),
-        terms_used=steps.astype(np.int32) + depth,
+        terms_used=steps,
         tail_estimate=est,
         converged=conv,
     )
@@ -682,17 +698,17 @@ def sweep_products(sys, w, max_support):
     """Values g_sigma(w) for every address with support <= max_support.
 
     One batched pass over the padded address tree of the given depth; shared
-    digit prefixes share their orbits and partial products. Requires w != b
-    (the degenerate anchor has its own sweep).
+    digit prefixes share their orbits and partial products. At the
+    degenerate anchor (|w - b| <= W_NEAR_B) the pass starts from v = 0, as
+    inverse_branch does, and returns 0 and the ladders a^m * base.
     """
     w = complex(w)
-    if abs(w - sys.b) <= W_NEAR_B:
-        raise ValueError("anchor coincides with the fixed point; "
-                         "use sweep_solutions_at_b")
     if max_support < 0:
         raise ValueError("max_support must be nonnegative")
-    seeds_v = np.array([w - sys.b], dtype=np.complex128)
-    sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0)
+    at_b = abs(w - sys.b) <= W_NEAR_B
+    seeds_v = np.array([0j if at_b else w - sys.b], dtype=np.complex128)
+    sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0,
+                              at_b)
     sweep.anchor = w
     return sweep
 

@@ -38,12 +38,9 @@ import numpy as np
 
 from .branches import (
     W_NEAR_B,
-    BranchSweep,
-    _supports_from_indices,
     check_hypothesis1,
     relative_error,
     sweep_products,
-    sweep_solutions_at_b,
 )
 from .errors import ParseError, SPZerosError, ValidationError
 from .factor import moment_sum
@@ -230,36 +227,18 @@ def _hypothesis_gate(sys_):
     return report.passed
 
 
-def _solution_table(sys_, spec, w):
-    """(sweep, prefactor_exponents) for every address with support <=
-    max_support, padded-index order."""
-    N = spec.max_support
+def _prefactor_exponents(sys_, w, N):
+    """invert's prefactor_exponent column, padded-index order. At w = b it
+    is the m of a row's a^m ladder prefactor, its address's leading zeros
+    plus one: N - K + 1 on index segment [d^(K-1), d^K). Index 0, the
+    solution 0, and every row of any other anchor, are empty."""
     d = sys_.d
     if abs(w - sys_.b) > W_NEAR_B:
-        sweep = sweep_products(sys_, w, N)
-        return sweep, [""] * sweep.values.size
-    # Degenerate anchor: index segment [d^(K-1), d^K) holds the addresses
-    # with exactly N - K leading zeros; their values are a^(N-K) times the
-    # ladder bases of the depth-K sweep, by the geometric ladder structure.
-    size = d ** N
-    values = np.zeros(size, dtype=np.complex128)
-    terms = np.zeros(size, dtype=np.int64)
-    est = np.zeros(size, dtype=np.float64)
-    conv = np.ones(size, dtype=bool)
-    pref = [""] * size
+        return [""] * d ** N
+    pref = [""]
     for K in range(1, N + 1):
-        sw = sweep_solutions_at_b(sys_, K)
-        lo, hi = d ** (K - 1), d ** K
-        values[lo:hi] = sys_.a ** (N - K) * sw.values
-        terms[lo:hi] = sw.terms_used
-        est[lo:hi] = sw.tail_estimate
-        conv[lo:hi] = sw.converged
-        pref[lo:hi] = [str(N - K + 1)] * (hi - lo)
-    support = _supports_from_indices(0, size, d, N)
-    sweep = BranchSweep(depth=N, d=d, anchor=w, offset=0, values=values,
-                        support=support, terms_used=terms, tail_estimate=est,
-                        converged=conv)
-    return sweep, pref
+        pref += [str(N - K + 1)] * (d ** K - d ** (K - 1))
+    return pref
 
 
 def cmd_zeros(spec, args):
@@ -324,7 +303,8 @@ def cmd_invert(spec, args):
     all_ok = True
     worst_excess = None  # (excess, violation, budget) at the worst row
     for w in anchors:
-        sweep, pref = _solution_table(sys_, spec, w)
+        sweep = sweep_products(sys_, w, spec.max_support)
+        pref = _prefactor_exponents(sys_, w, spec.max_support)
         all_ok = all_ok and bool(np.all(sweep.converged))
         if args.verify:
             violation, budget = _roundtrip_budget(sys_, w, sweep)

@@ -8,7 +8,8 @@ transformations, no FMA required) pushes the per-step noise to O(eps^2), so
 the amplified total stays far below the truncation tolerance.
 
 Complex double-double values are tuples (re_hi, re_lo, im_hi, im_lo) of
-float64 ndarrays. Only the operations the evaluator needs are provided.
+float64 ndarrays. Only the operations the evaluator needs are provided;
+the row writer (spzeros.fields) shares two_prod.
 """
 
 import numpy as np

@@ -26,6 +26,8 @@ import functools
 
 import numpy as np
 
+from .dd import two_prod
+
 # Width of a float field: a sign, the "0.000" lead of a fixed-notation
 # value below 1, 17 (digit, decimal point) slot pairs and "e+308".
 FLOAT_WIDTH = 1 + 5 + 2 * 17 + 5
@@ -34,25 +36,16 @@ FLOAT_WIDTH = 1 + 5 + 2 * 17 + 5
 _P_MIN, _P_MAX = -292, 341
 # A y whose fraction lies this close to 1/2 may be a tie.
 _TIE_MARGIN = 1e-9
-# Dekker's splitting constant 2^27 + 1 for 53-bit doubles.
-_SPLIT = 134217729.0
 _LO17, _HI17 = 10 ** 16, 10 ** 17
 _LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _LEAD_SLOTS = np.arange(5)[:, None]
 _SLOTS = np.arange(17)[:, None]
 
 
-def _split(a):
-    """Dekker's split a = high + low, each half fitting in 26 bits."""
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
-
-
 @functools.cache
 def _pow5_table():
-    """(hi, hi's split halves, lo, exp2) per p in [_P_MIN, _P_MAX], with
-    5^p = (hi + lo) 2^exp2, hi in [1, 2], hi and lo each correctly rounded.
+    """(hi, lo, exp2) per p in [_P_MIN, _P_MAX], with 5^p = (hi + lo) 2^exp2,
+    hi in [1, 2], hi and lo each correctly rounded.
 
     Built on first use from Python integers, whose true division rounds
     correctly.
@@ -73,8 +66,7 @@ def _pow5_table():
         his.append(hi)
         los.append((num * hd - hn * den) / (den * hd))
         exps.append(exp2)
-    hi = np.array(his)
-    table = (hi, *_split(hi), np.array(los), np.array(exps, dtype=np.int64))
+    table = (np.array(his), np.array(los), np.array(exps, dtype=np.int64))
     for column in table:
         column.setflags(write=False)
     return table
@@ -82,14 +74,10 @@ def _pow5_table():
 
 def _scaled(m, e, k):
     """floor(y) as int64 and y - floor(y), for y = m 2^e 10^(16 - k)."""
-    hi, hi_high, hi_low, lo, exp2 = _pow5_table()
+    hi, lo, exp2 = _pow5_table()
     i = 16 - k - _P_MIN
-    b = hi[i]
-    prod = m * b
-    m_high, m_low = _split(m)
-    bh, bl = hi_high[i], hi_low[i]
-    # Dekker's TwoProduct: prod + err == m * b exactly.
-    err = ((m_high * bh - prod) + m_high * bl + m_low * bh) + m_low * bl
+    # Dekker's TwoProduct: prod + err == m * hi[i] exactly.
+    prod, err = two_prod(m, hi[i])
     scale = e + exp2[i] + 16 - k
     whole = np.ldexp(prod, scale)
     rest = np.ldexp(err + m * lo[i], scale)

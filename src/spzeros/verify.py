@@ -25,7 +25,8 @@ from .factor import wh_eval
 from .poly import ComplexPolynomial
 from .system import build_system, eval_f_batch
 
-# Largest support of the addresses cross_check round-trips at every anchor.
+# Largest support of the addresses cross_check round-trips at every anchor;
+# a smaller max_support lowers it.
 ROUNDTRIP_SUPPORT = 4
 
 
@@ -151,18 +152,17 @@ def cross_check(sys, samples, max_support, anchor=0j, products=True,
 
     Routes: direct functional iteration, the product anchored at `anchor`,
     and the fixed-point ladder product. The round-trip leg treats each sample
-    as an anchor w (skipping w near b), inverts f through every address of
-    support <= ROUNDTRIP_SUPPORT, and confirms f(g_sigma(w)) = w by direct
-    iteration. With products False only the round trips run (the product
-    routes need d < |a|), and rows is empty. With roundtrip False no anchor
+    as an anchor w, inverts f through every address of support up to
+    ROUNDTRIP_SUPPORT and max_support, and confirms f(g_sigma(w)) = w by
+    direct iteration. With products False only the round trips run (the
+    product routes need d < |a|), and rows is empty. With roundtrip False no anchor
     is swept, f is evaluated at the samples alone, roundtrips is empty and
     worst_roundtrip is 0.
     """
     samples = [complex(z) for z in samples]
-    anchors = ([z for z in samples if abs(z - sys.b) > 1e-9]
-               if roundtrip else [])
-    solutions = [sweep_products(sys, w, ROUNDTRIP_SUPPORT).values
-                 for w in anchors]
+    anchors = samples if roundtrip else []
+    depth = min(ROUNDTRIP_SUPPORT, max_support)
+    solutions = [sweep_products(sys, w, depth).values for w in anchors]
     # One eval_f_batch call for the direct route at every sample and every
     # anchor's round trip: its cost is mostly per call, not per point.
     points = np.concatenate([np.array(samples, dtype=np.complex128),

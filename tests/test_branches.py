@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spzeros import (
     g0_and_derivative,
     growth_floor,
     inverse_branch,
+    load_problem,
     moment_sum,
     principal_branch,
     sweep_products,
@@ -47,6 +49,14 @@ GOLDEN_FIRST_ZERO = -2.1972839287883129714
 # Deep-address solution of the degree-3 system at w = 0, address
 # (0,0,0,0,0,1), frozen from a 60-digit backward-orbit iteration.
 CUBIC_DEEP_ZERO = -9664069.6880619615722324628807 - 7099306.42653883973453098127315j
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+# (-1+0.2i) + 0.3 z^2 + z^4: not unicritical, so its inverse steps take the
+# root solver, and its b and a are complex.
+QUARTIC = ProblemSpec(coefficients=(-1 + 0.2j, 0j, 0.3 + 0j, 0j, 1 + 0j),
+                      fixed_point_hint=1.5 + 0j, max_support=6,
+                      product_tolerance=1e-12, n_cap=200,
+                      root_tolerance=1e-13)
 
 
 def test_sigma_sequence_canonical_form():
@@ -175,7 +185,7 @@ def test_zero_product_reports_nonconvergence():
 
 def test_sweep_matches_scalar_products():
     for sys in (chebyshev_system(), golden_system(), cubic_system()):
-        for w in (0j, -2.0 + 0.5j):
+        for w in (0j, -2.0 + 0.5j, sys.b):
             sweep = sweep_products(sys, w, 3)
             assert bool(np.all(sweep.converged))
             for pos, idx in enumerate(sweep.indices()):
@@ -226,6 +236,64 @@ def test_solutions_at_fixed_point_ladder():
     pts = np.concatenate([k1.values, k2.values])
     back = eval_f_batch(sys, pts)
     assert float(np.max(np.abs(back - sys.b))) <= 1e-9
+
+
+def _ladder_table(sys, depth):
+    """The w = b table rung by rung: index segment [d^(K-1), d^K) is the
+    depth-K ladder sweep times a^(depth-K), index 0 the solution 0."""
+    d = sys.d
+    values = np.zeros(d ** depth, dtype=np.complex128)
+    terms = np.zeros(d ** depth, dtype=np.int64)
+    est = np.zeros(d ** depth)
+    conv = np.ones(d ** depth, dtype=bool)
+    for K in range(1, depth + 1):
+        rung = sweep_solutions_at_b(sys, K)
+        lo, hi = d ** (K - 1), d ** K
+        values[lo:hi] = sys.a ** (depth - K) * rung.values
+        terms[lo:hi] = rung.terms_used
+        est[lo:hi] = rung.tail_estimate
+        conv[lo:hi] = rung.converged
+    return values, terms, est, conv
+
+
+@pytest.mark.parametrize("problem, depth", [
+    ("chebyshev2.json", None), ("chebyshev2.json", 18),
+    ("golden.json", None), ("golden.json", 18),
+    ("cubic6.json", None), ("cubic6.json", 12),
+    pytest.param(QUARTIC, None, id="quartic"),
+])
+def test_sweep_at_b_matches_ladder_rungs(problem, depth):
+    # One sweep from v = 0 holds every depth-K ladder sweep, bit for bit:
+    # at the problem's own depth and at depths of several chunks.
+    spec = (problem if isinstance(problem, ProblemSpec)
+            else load_problem(PROBLEMS / problem))
+    sys = system_from_spec(spec)
+    depth = depth or spec.max_support
+    sweep = sweep_products(sys, sys.b, depth)
+    values, terms, est, conv = _ladder_table(sys, depth)
+    assert sweep.anchor == sys.b and sweep.offset == 0
+    assert np.array_equal(sweep.values.view(np.float64),
+                          values.view(np.float64))
+    assert np.array_equal(sweep.terms_used, terms)
+    assert np.array_equal(sweep.tail_estimate, est)
+    assert np.array_equal(sweep.converged, conv)
+
+
+def test_sweep_at_b_chebyshev_oracle():
+    # f(z) = cos(sqrt(-2z)) = 1 exactly at z = -2 pi^2 k^2, a double
+    # solution for k >= 1, since f' vanishes there. At depth 12 the table
+    # holds 0, k = 1 .. 2047 twice each, and k = 2048 once.
+    sys = chebyshev_system()
+    sweep = sweep_products(sys, 1.0, 12)
+    assert sweep.values[0] == 0
+    g = sweep.values[1:]
+    k = np.rint(np.sqrt(np.abs(g) / (2 * math.pi ** 2))).astype(np.int64)
+    exact = -2 * math.pi ** 2 * k.astype(np.float64) ** 2
+    assert float(np.max(np.abs(g - exact) / np.abs(exact))) <= 1e-12
+    counts = np.bincount(k, minlength=2049)
+    assert counts[0] == 0
+    assert np.all(counts[1:2048] == 2) and counts[2048] == 1
+    assert counts.size == 2049
 
 
 def test_inverse_branch_at_b_zero_address():

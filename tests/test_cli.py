@@ -120,6 +120,33 @@ def test_invert_circle_row_count(capsys):
     assert len(set(anchors)) == 5
 
 
+def test_invert_one_sweep_per_anchor(monkeypatch, capsys):
+    # Every anchor of a circle is one sweep at the problem's depth, the
+    # fixed point b = 2 of cubic6 (k = 0 of the circle of radius 2)
+    # included; its rows carry the ladder exponents.
+    from spzeros import cli
+    swept = []
+    real = cli.sweep_products
+
+    def sweep_products(sys_, w, max_support):
+        swept.append((w, max_support))
+        return real(sys_, w, max_support)
+
+    monkeypatch.setattr(cli, "sweep_products", sweep_products)
+    code, out, _ = run_cli(
+        ["invert", CUBIC, "--max-support", "4", "--circle", "2,5",
+         "--verify"], capsys)
+    assert code == 0
+    assert [depth for _, depth in swept] == [4] * 5
+    assert swept[0][0] == 2
+    _, rows = read_csv(out)
+    assert len(rows) == 5 * 3 ** 4
+    # The exponent counts the leading zeros plus one.
+    at_b = {r[0]: r[7] for r in rows[:3 ** 4]}
+    assert [at_b[s] for s in ("", "2", "01", "0002")] == ["", "1", "2", "4"]
+    assert all(r[7] == "" for r in rows[3 ** 4:])
+
+
 def test_invert_verify_full_depth_cubic(capsys):
     # Deep degree-3 solutions reach |g| ~ 1e9, where the requested product
     # tolerance propagates to round-trip errors far above any fixed absolute
@@ -251,6 +278,28 @@ def test_wh_runs_no_roundtrip(monkeypatch, capsys):
     assert code == 0
     assert len(swept) == 8
     assert evaluated[1].size > 8
+    assert "\nroundtrip: " in out
+
+
+@pytest.mark.parametrize("max_support, depth", [(2, 2), (6, 4)])
+def test_check_roundtrip_support_capped(max_support, depth, monkeypatch,
+                                        capsys):
+    # check round-trips the addresses of support up to 4 at each of its 8
+    # anchors, and no deeper than --max-support.
+    import spzeros.verify as verify
+
+    depths = []
+
+    def sweep_products(sys_, w, max_support):
+        depths.append(max_support)
+        return real_sweep(sys_, w, max_support)
+
+    real_sweep = verify.sweep_products
+    monkeypatch.setattr(verify, "sweep_products", sweep_products)
+    code, out, _ = run_cli(["check", CHEB, "--max-support", str(max_support)],
+                           capsys)
+    assert code == 0
+    assert depths == [depth] * 8
     assert "\nroundtrip: " in out
 
 

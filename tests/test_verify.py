@@ -108,3 +108,12 @@ def test_cross_check_without_roundtrip(make_system):
         assert abs(row.direct - ref.direct) <= 2.0 ** -50 * abs(ref.direct)
         if make_system is chebyshev_system:
             assert abs(row.direct - oracle_chebyshev(row.z)) <= 1e-11
+
+
+def test_cross_check_round_trips_the_fixed_point():
+    # A sample at b is an anchor like any other: its table holds 0 and the
+    # ladder solutions, and each solves f(z) = b.
+    for sys in (chebyshev_system(), golden_system(), cubic_system()):
+        report = cross_check(sys, [sys.b, 0.5j], 6, products=False)
+        assert [w for w, _ in report.roundtrips] == [sys.b, 0.5j]
+        assert report.worst_roundtrip <= 1e-7

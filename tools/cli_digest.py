@@ -9,15 +9,18 @@ against this checkout's src/. Prints one line per run:
 Two checkouts whose digests are equal print the same bytes on every run,
 so diffing the digests of two commits shows whether a change kept the
 output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last eleven runs feed the CLI bad input: an anchor whose
-momentum terms overflow, three non-finite values, an anchor with three
-parts, which the argument parser rejects, max_support 0 for the three
-commands whose tail bounds need an address of support >= 1, the momenta
-at w = 1 (Chebyshev's fixed point; on the other problems an ordinary
-anchor), a --png raster one column over the size bound, and an invert
-circle of a billion anchors, whose tables together exceed 2^24 rows. A
-checkout that lacks that bound would try to build the billion anchors, so
-run this tool there without that run.
+a traceback. The last eleven runs of RUNS feed the CLI bad input: an
+anchor whose momentum terms overflow, three non-finite values, an anchor
+with three parts, which the argument parser rejects, max_support 0 for
+the three commands whose tail bounds need an address of support >= 1,
+the momenta at w = 1 (Chebyshev's fixed point; on the other problems an
+ordinary anchor), a --png raster one column over the size bound, and an
+invert circle of a billion anchors, whose tables together exceed 2^24
+rows. A checkout that lacks that bound would try to build the billion
+anchors, so run this tool there without that run.
+
+SHIPPED_RUNS adds runs made on one shipped problem only: golden's table
+at its fixed point b, whose ladder rungs scale by the irrational a = 2b.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -92,6 +95,14 @@ RUNS = (
     ("invert", "--circle", "1,1000000000"),
 )
 
+# (file name under problems/, arguments after its path). The w = b table of
+# golden.json at its default depth: 4,096 rows, every rung scaled by a
+# power of a = 2b = 1 + sqrt(5).
+SHIPPED_RUNS = (
+    ("golden.json", "invert", "--max-support", "12",
+     "--w=1.618033988749895", "--verify"),
+)
+
 # (file name, problem, fixed point b as an --w value). The quartic
 # (-1+0.2i) + 0.3 z^2 + z^4 has a complex b and a; z^3 - z + 1 (b = 1,
 # a = 2) runs at a root_tolerance other than the default 1e-13. Since
@@ -126,7 +137,7 @@ GENERAL_RUNS = (
     ("check", "--max-support", "5"),
 )
 # P(z) = 2 z^11 - 1 (b = 1, a = 22). Its runs stay at depth 2, 121 rows:
-# depth 5 would be 161,051, and check takes about 15 s even at depth 2.
+# depth 5 would be 161,051.
 WIDE = (
     "2z11-1.json",
     {"coefficients": [[-1.0, 0.0]] + [[0.0, 0.0]] * 10 + [[2.0, 0.0]],
@@ -166,6 +177,9 @@ def main():
                 for problem in problems:
                     argv = [command, str(problem.relative_to(ROOT)), *rest]
                     _digest(env, argv, argv)
+            for name, command, *rest in SHIPPED_RUNS:
+                argv = [command, f"problems/{name}", *rest]
+                _digest(env, argv, argv)
             for runs, entries in ((GENERAL_RUNS, GENERAL),
                                   (WIDE_RUNS, (WIDE,))):
                 for command, *rest in runs:
