@@ -59,10 +59,10 @@ There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
 inverse_branch, g0_and_derivative) run it on a one-node array, and their
 n_cap counts prefix and tail factors together. The principal steps of the
-tail and of the Hypothesis-1 probe are one walker, _principal_orbit, which
-stops each orbit on entering a disc: radius r_s for the tail, the
-contraction radius for the probe. Every product reads its truncation
-settings, sys.product_tolerance and sys.n_cap, from the system.
+tail, of the Koenigs sample and of the Hypothesis-1 probe are one walker,
+_principal_orbit, which stops each orbit on entering a disc: radius r_s,
+delta/4 and delta. Every product reads its truncation settings,
+sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 """
 
@@ -529,12 +529,8 @@ def _koenigs_data(sys):
     ell = _koenigs_coefficients(sys)
     delta = contraction_delta(sys)
     v = delta * np.exp(2j * np.pi * np.arange(DELTA_CIRCLE) / DELTA_CIRCLE)
-    scale = 1.0 + 0j
-    for _ in range(DELTA_MAX_K):
-        if np.max(np.abs(v)) < 0.25 * delta:
-            break
-        v = _principal_step(sys, v)
-        scale *= sys.a
+    v, steps, _ = _principal_orbit(sys, v, 0.25 * delta, DELTA_MAX_K)
+    scale = sys.a ** np.arange(steps.max(initial=0) + 1)[steps]
     kappa = float(np.max(np.abs(scale * v * _series(ell, v)))) / delta
 
     lo, hi = 0.0, 0.5 * delta
@@ -582,17 +578,6 @@ def _tail_products(sys, v, cap):
             converged)
 
 
-def _supports_from_indices(offset, size, d, depth):
-    """Support of each padded address index offset, ..., offset + size - 1:
-    depth minus its trailing base-d zeros. Every index divisible by d^k
-    loses one, for k = 1, ..., depth."""
-    supp = np.full(size, depth, dtype=np.int16)
-    for k in range(1, depth + 1):
-        step = d ** k
-        supp[(-offset) % step::step] -= 1
-    return supp
-
-
 @dataclass
 class BranchSweep:
     """Product values for every address of support <= depth, in one pass.
@@ -600,9 +585,10 @@ class BranchSweep:
     Addresses are indexed by padding to exactly `depth` digits and reading
     them as a base-d integer, most significant digit first; index j therefore
     runs over [offset, offset + values.size) and the canonical address is j
-    with trailing zeros stripped. For an anchor sweep, values[j - offset] is
-    g_sigma(anchor); for the degenerate-anchor sweep (anchor None) it is the
-    ladder base attached to an address whose first digit is nonzero.
+    with trailing zeros stripped, so each support is a stride (shells). For
+    an anchor sweep, values[j - offset] is g_sigma(anchor); for the
+    degenerate-anchor sweep (anchor None) it is the ladder base attached to
+    an address whose first digit is nonzero.
     Arrays are shared read-only; treat them as immutable.
     """
 
@@ -611,13 +597,33 @@ class BranchSweep:
     anchor: object  # complex, or None for the ladder-base sweep
     offset: int
     values: np.ndarray
-    support: np.ndarray
     terms_used: np.ndarray
     tail_estimate: np.ndarray
     converged: np.ndarray
 
     def indices(self):
         return np.arange(self.values.size, dtype=np.int64) + self.offset
+
+    def shells(self, x):
+        """Yield (s, view of the rows of x with support s), s = 0 .. depth,
+        in index order. Shell s >= 1 is the indices m d^(depth-s), d not
+        dividing m: a stride in rows of d less their first column, or all
+        of it if it starts at such an m."""
+        yield 0, x[:0 if self.offset else 1]
+        for s in range(1, self.depth + 1):
+            step = self.d ** (self.depth - s)
+            rows = x[::step]
+            if self.offset // step % self.d == 0:
+                rows = rows.reshape(-1, self.d)[:, 1:]
+            yield s, rows
+
+    @property
+    def support(self):
+        """Support of each row's address, from shells."""
+        supp = np.empty(self.values.size, dtype=np.int16)
+        for s, rows in self.shells(supp):
+            rows[...] = s
+        return supp
 
     def digits_of(self, index):
         """Canonical digit tuple of a padded address index."""
@@ -687,7 +693,6 @@ def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, at_b=False):
         anchor=None,
         offset=offset,
         values=values,
-        support=_supports_from_indices(offset, values.size, sys.d, depth),
         terms_used=steps,
         tail_estimate=est,
         converged=conv,
@@ -843,12 +848,11 @@ def check_hypothesis1(sys, grid_radius, grid_count):
 
 def growth_floor(sweep, a_abs):
     """Empirical growth-floor constant: min |value| |a|^-support, support >= 1."""
-    mask = sweep.support >= 1
-    if not mask.any():
+    if sweep.depth < 1:
         raise ValueError("sweep holds no address with support >= 1")
-    scaled = np.abs(sweep.values[mask]) * a_abs ** (-sweep.support[mask]
-                                                   .astype(np.float64))
-    return float(scaled.min())
+    scale = a_abs ** -np.arange(sweep.depth + 1, dtype=np.float64)
+    return float(np.min([np.abs(rows).min() * scale[s]
+                         for s, rows in sweep.shells(sweep.values) if s]))
 
 
 def geometric_tail(c_est, d, a_abs, start_support, m):

@@ -87,6 +87,11 @@ BLOCK_ROWS = 1 << 12
 # Largest --png raster, width * height pixels: 64 MiB of uint8, which the
 # PNG writer copies once more.
 PNG_MAX_PIXELS = 1 << 26
+# Largest momentum order --m accepts. The closed form enumerates every
+# partition of m, so its cost grows faster than the partition count: one
+# golden call took 0.23 s of CPU at m = 24 and 3.0 s at m = 32 on a
+# 2-vCPU Xeon, and every larger order costs more.
+MAX_MOMENT_ORDER = 32
 
 __all__ = [
     "ProblemSpec",
@@ -200,9 +205,10 @@ def _parse_orders(text):
         orders = tuple(int(p) for p in text.split(","))
     except ValueError:
         orders = ()
-    if not orders or any(m < 1 for m in orders):
+    if not orders or any(not 1 <= m <= MAX_MOMENT_ORDER for m in orders):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated orders >= 1, got {text!r}")
+            f"expected comma-separated orders from 1 to {MAX_MOMENT_ORDER}, "
+            f"got {text!r}")
     return orders
 
 
@@ -228,17 +234,16 @@ def _hypothesis_gate(sys_):
 
 
 def _prefactor_exponents(sys_, w, N):
-    """invert's prefactor_exponent column, padded-index order. At w = b it
-    is the m of a row's a^m ladder prefactor, its address's leading zeros
-    plus one: N - K + 1 on index segment [d^(K-1), d^K). Index 0, the
+    """invert's prefactor_exponent column, padded-index order, as bytes. At
+    w = b it is the m of a row's a^m ladder prefactor, its address's leading
+    zeros plus one: N - K + 1 on index segment [d^(K-1), d^K). Index 0, the
     solution 0, and every row of any other anchor, are empty."""
     d = sys_.d
     if abs(w - sys_.b) > W_NEAR_B:
-        return [""] * d ** N
-    pref = [""]
-    for K in range(1, N + 1):
-        pref += [str(N - K + 1)] * (d ** K - d ** (K - 1))
-    return pref
+        return np.zeros(d ** N, "S1")
+    labels = [b""] + [b"%d" % (N - K + 1) for K in range(1, N + 1)]
+    counts = [1] + [d ** K - d ** (K - 1) for K in range(1, N + 1)]
+    return np.repeat(np.array(labels), counts)
 
 
 def cmd_zeros(spec, args):

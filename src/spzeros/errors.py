@@ -44,14 +44,6 @@ class ZeroDenominator(SPZerosError):
     """
 
 
-class BasinEscape(SPZerosError):
-    """A principal-branch orbit failed to approach the fixed point.
-
-    Nothing raises it any more; the name stays exported for callers that
-    catch it.
-    """
-
-
 class DivergentTail(SPZerosError):
     """Geometric tail bound diverges: d |a|^-m >= 1."""
 

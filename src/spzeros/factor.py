@@ -88,24 +88,6 @@ def _anchor_floor(sys, w, max_support):
     return growth_floor(_anchor_sweep(sys, w, max_support), abs(sys.a))
 
 
-@lru_cache(maxsize=4)
-def _support_shells(sys, w, max_support):
-    """The anchor sweep laid out once by support for every momentum order.
-
-    Returns (y, rel, edges): y = (w - b) / g_sigma(w) and rel, the relative
-    error of each value, both in one stable partition of the sweep by
-    support; shell n holds y[edges[n]:edges[n + 1]], in index order.
-    """
-    sweep = _anchor_sweep(sys, w, max_support)
-    order = np.argsort(sweep.support, kind="stable")
-    edges = np.searchsorted(sweep.support[order], np.arange(max_support + 2))
-    y = sweep.values[order]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(w - sys.b, y, out=y)
-    rel = relative_error(sweep.tail_estimate[order], sweep.terms_used[order])
-    return y, rel, edges.tolist()
-
-
 @dataclass(frozen=True)
 class _LadderSums:
     """Per-sweep data of the w = b ladder, computed once from its bases.
@@ -153,9 +135,10 @@ def _ladder_sums(sys, max_support):
 
 
 def _fsum(values):
-    """Exactly rounded sum of a real array; fsum reads the floats of a
-    memoryview faster than numpy scalars or a list."""
-    return math.fsum(memoryview(np.ascontiguousarray(values)))
+    """Exactly rounded sum of a real array, strided views included; fsum
+    reads the floats of a 1-D memoryview faster than numpy scalars or a
+    list."""
+    return math.fsum(memoryview(np.ravel(values)))
 
 
 def _complex_sum(values):
@@ -205,9 +188,9 @@ def _require_support(max_support):
 def moment_sum(sys, m, w, max_support):
     """Momentum sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support.
 
-    Shell sums are exactly rounded (compensated) and accumulated shell by
-    shell in ascending support order. Requires w != b, absolute
-    convergence d |a|^-m < 1 and max_support >= 1.
+    Shell sums, over the views of BranchSweep.shells, are exactly rounded
+    (compensated) and accumulated in ascending support order. Requires
+    w != b, absolute convergence d |a|^-m < 1 and max_support >= 1.
     """
     if m < 1:
         raise ValueError("momentum order must be >= 1")
@@ -222,29 +205,28 @@ def moment_sum(sys, m, w, max_support):
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
     _require_support(max_support)
-    y, rel, edges = _support_shells(sys, w, max_support)
+    sweep = _anchor_sweep(sys, w, max_support)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = y ** m
+        terms = (w - sys.b) / sweep.values
+        terms **= m
     if not np.all(np.isfinite(terms)):
         raise ValidationError(
             f"momentum terms of order {m} overflow at anchor w = {w}")
     # A relative error e in g_sigma moves its term by about m e |term|.
     noise = np.abs(terms)
     noise *= m
-    noise *= rel
-    # The noise is only an error estimate, so a plain sum per shell will do.
-    # reduceat would return an empty segment's first element, not 0, but no
-    # shell up to max_support is empty: shell 0 holds the empty address and
-    # shell n > 0 holds (d - 1) d^(n - 1).
-    shell_noise = np.add.reduceat(noise, edges[:-1]).tolist()
+    noise *= relative_error(sweep.tail_estimate, sweep.terms_used)
     running = 0j
     shells = []
     shell_sums = []
-    for support in range(max_support + 1):
-        lo, hi = edges[support], edges[support + 1]
-        shell_sums.append(_complex_sum(terms[lo:hi]))
+    shell_noise = []
+    for (support, rows), (_, err) in zip(sweep.shells(terms),
+                                         sweep.shells(noise)):
+        shell_sums.append(_complex_sum(rows))
         running = running + shell_sums[-1]
         shells.append((support, running))
+        # The noise is only an error estimate, so a plain sum will do.
+        shell_noise.append(float(err.sum()))
     # Freed before the floor, measured once per sweep, makes temporaries of
     # its own: on the first order they would otherwise set the peak memory.
     del terms, noise

@@ -57,6 +57,14 @@ QUARTIC = ProblemSpec(coefficients=(-1 + 0.2j, 0j, 0.3 + 0j, 0j, 1 + 0j),
                       fixed_point_hint=1.5 + 0j, max_support=6,
                       product_tolerance=1e-12, n_cap=200,
                       root_tolerance=1e-13)
+# z^3 - z + 1 (b = 1, a = 2): not unicritical, with d = 3 > |a|.
+Z3 = ProblemSpec(coefficients=(1 + 0j, -1 + 0j, 0j, 1 + 0j),
+                 fixed_point_hint=1 + 0j, max_support=4,
+                 product_tolerance=1e-12, n_cap=200, root_tolerance=1e-10)
+# 2 z^11 - 1 (b = 1, a = 22): eleven digits.
+WIDE = ProblemSpec(coefficients=(-1 + 0j,) + (0j,) * 10 + (2 + 0j,),
+                   fixed_point_hint=1 + 0j, max_support=2,
+                   product_tolerance=1e-12, n_cap=200, root_tolerance=1e-13)
 
 
 def test_sigma_sequence_canonical_form():
@@ -207,17 +215,76 @@ def test_sweep_order_is_lexicographic():
                             for s in enumerate_sigma(3, 3)}
 
 
+def _sweeps(sys, depth):
+    """An anchored, the w = b and the ladder-base sweep of sys."""
+    return (sweep_products(sys, -2 + 0.5j, depth),
+            sweep_products(sys, sys.b, depth),
+            sweep_solutions_at_b(sys, depth))
+
+
 def test_supports_match_digit_addresses():
-    # The strided count of trailing zeros against the digit strings, with
-    # offset 0 (anchor sweeps) and the ladder offset d^(depth - 1).
-    for sys, depth in ((chebyshev_system(), 9), (cubic_system(), 6)):
-        for sweep in (sweep_products(sys, 0j, depth),
-                      sweep_solutions_at_b(sys, depth)):
+    # The shells, strided views of padded-index order, against the digit
+    # strings, with offset 0 (anchor and w = b sweeps) and the ladder
+    # offset d^(depth - 1), for d = 2, 3 and 11; support is read off them.
+    wide = system_from_spec(WIDE)
+    cases = ([(chebyshev_system(), n) for n in (1, 2, 9)]
+             + [(cubic_system(), n) for n in (1, 2, 6)]
+             + [(wide, n) for n in (1, 2)])
+    for sys, depth in cases:
+        for sweep in _sweeps(sys, depth):
             assert sweep.offset == (0 if sweep.anchor is not None
                                     else sys.d ** (depth - 1))
+            idx = sweep.indices()
+            want = [len(sweep.digits_of(i)) for i in idx]
+            seen = []
+            for s, rows in sweep.shells(idx):
+                assert rows.size == 0 or np.shares_memory(rows, idx)
+                got = rows.ravel().tolist()
+                assert got == sorted(got)
+                assert all(want[i - sweep.offset] == s for i in got)
+                seen += got
+            assert sorted(seen) == idx.tolist()
+            assert [s for s, _ in sweep.shells(idx)] == list(range(depth + 1))
             assert sweep.support.dtype == np.int16
-            assert sweep.support.tolist() == [
-                len(sweep.digits_of(i)) for i in sweep.indices()]
+            assert sweep.support.tolist() == want
+    assert "support" not in {f.name for f in dataclasses.fields(sweep)}
+
+
+def _floor_by_masks(sweep, a_abs):
+    """growth_floor by masks over the support of every row: min |value|
+    |a|^-support over support >= 1. Supports are depth minus the trailing
+    base-d zeros of the index, counted by strides."""
+    supp = np.full(sweep.values.size, sweep.depth, dtype=np.int16)
+    for k in range(1, sweep.depth + 1):
+        step = sweep.d ** k
+        supp[(-sweep.offset) % step::step] -= 1
+    mask = supp >= 1
+    scaled = np.abs(sweep.values[mask]) * a_abs ** (-supp[mask]
+                                                   .astype(np.float64))
+    return float(scaled.min())
+
+
+@pytest.mark.parametrize("make, top", [
+    (chebyshev_system, 8), (golden_system, 8), (cubic_system, 8),
+    (lambda: system_from_spec(QUARTIC), 6), (lambda: system_from_spec(Z3), 8),
+], ids=["chebyshev", "golden", "cubic", "quartic", "z3-z+1"])
+def test_growth_floor_matches_masked_reference(make, top):
+    # Per-shell minima scaled by |a|^-s are the masked minimum, bit for
+    # bit, on anchored, w = b and ladder sweeps. The quartic's root solver
+    # stops at 4^6 rows.
+    sys = make()
+    for depth in (1, 2, 5, top):
+        for sweep in _sweeps(sys, depth):
+            got = growth_floor(sweep, abs(sys.a))
+            assert got == _floor_by_masks(sweep, abs(sys.a)), (depth, sweep)
+
+
+def test_growth_floor_matches_masked_reference_over_chunks():
+    # Golden at depth 18: four chunks of the sweep driver.
+    sys = golden_system()
+    sweep = sweep_products(sys, 0j, 18)
+    assert growth_floor(sweep, abs(sys.a)) == _floor_by_masks(sweep,
+                                                              abs(sys.a))
 
 
 def test_solutions_at_fixed_point_ladder():
@@ -694,7 +761,7 @@ def test_product_settings_reach_every_product(monkeypatch, tmp_path):
     }
     evaluating = {"g0_and_derivative", "cross_check", "check"}
     caches = [f for f in vars(factor).values() if hasattr(f, "cache_clear")]
-    assert {"_anchor_sweep", "_anchor_floor", "_support_shells",
+    assert {"_anchor_sweep", "_anchor_floor",
             "_ladder_sums"} <= {f.__name__ for f in caches}
     for name, run in runs.items():
         for cached in caches:
@@ -802,6 +869,21 @@ def test_koenigs_coefficients_match_chebyshev_oracle():
     for m, got in enumerate(ell, start=1):
         ref = complex(want[m])
         assert abs(got - ref) <= 1e-13 * abs(ref), m
+
+
+def test_koenigs_sample_matches_chebyshev_oracle():
+    # kappa delta = C, the maximum of |L| on the DELTA_CIRCLE points of
+    # |v| = delta, each reached by its principal orbit and a^k.
+    mpmath = pytest.importorskip("mpmath")
+    sys = chebyshev_system()
+    delta = contraction_delta(sys)
+    _, kappa, _ = branches._koenigs_data(sys)
+    circle = branches.DELTA_CIRCLE
+    v = delta * np.exp(2j * np.pi * np.arange(circle) / circle)
+    with mpmath.workdps(30):
+        exact = max(abs(complex(_chebyshev_linearizer(mpmath, mpmath.mpc(x))))
+                    for x in v.tolist())
+    assert abs(kappa * delta - exact) <= 1e-14 * exact
 
 
 def test_series_truncation_bound_holds_on_chebyshev_oracle():

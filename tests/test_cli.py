@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from spzeros.branches import HypothesisReport
-from spzeros.cli import _parse_png, main
+from spzeros.cli import _parse_orders, _parse_png, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -430,10 +430,19 @@ def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
     ["zeros", CHEB, "--png", "100000x100000"],
     ["frobnicate", CHEB],
     ["zeros"],
+    ["moments", CHEB, "--m", "1,33"],
 ])
-def test_usage_error_exit_code(args, capsys):
+def test_usage_error_exit_code(args, monkeypatch, capsys):
     # A usage error is bad input: one error line and exit 1, not argparse's
-    # usage text and exit 2, the code of a numerical failure.
+    # usage text and exit 2, the code of a numerical failure. It is found
+    # before any system is built: an order above MAX_MOMENT_ORDER would
+    # otherwise spend seconds or more on its closed form.
+    from spzeros import cli
+
+    def no_system(spec):
+        raise AssertionError("system built for a usage error")
+
+    monkeypatch.setattr(cli, "system_from_spec", no_system)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
@@ -464,6 +473,14 @@ def test_png_size_bound():
     for text in ("8193x8192", "1x67108865", "100000x100000"):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_png(text)
+
+
+def test_moment_order_bound():
+    # Orders 1 .. MAX_MOMENT_ORDER = 32 are accepted, checked by the parser.
+    assert _parse_orders("1,32") == (1, 32)
+    for text in ("33", "1,33", "0", "2,x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_orders(text)
 
 
 def test_help_exit_code(capsys):

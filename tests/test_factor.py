@@ -23,7 +23,12 @@ from spzeros import (
     vieta_sums,
     wh_eval,
 )
-from spzeros.factor import _geometric_completion, _ladder_sums, _pairwise_product
+from spzeros.factor import (
+    _anchor_sweep,
+    _geometric_completion,
+    _ladder_sums,
+    _pairwise_product,
+)
 from spzeros.verify import (
     chebyshev_system,
     cubic_system,
@@ -281,3 +286,51 @@ def test_moment_sum_shells_match_per_mask_sums():
         widest = int(np.max(np.bincount(sweep.support)))
         assert (abs(rep.extrapolation_error - error)
                 <= (widest - 1) * 2.0 ** -53 * error)
+
+
+def _moment_by_sorting(sys, m, w, depth):
+    """moment_sum by one stable argsort of the supports, on the same cached
+    sweep: the shells are contiguous runs of the sorted terms, fsum'd run
+    by run, their noise summed by reduceat, and the floor a masked minimum.
+    Returns the fields of MomentReport that the shells feed."""
+    sweep = _anchor_sweep(sys, w, depth)
+    supp = np.full(sweep.values.size, depth, dtype=np.int16)
+    for k in range(1, depth + 1):
+        supp[::sys.d ** k] -= 1
+    order = np.argsort(supp, kind="stable")
+    edges = np.searchsorted(supp[order], np.arange(depth + 2)).tolist()
+    terms = ((w - sys.b) / sweep.values[order]) ** m
+    noise = np.abs(terms) * m * branches.relative_error(
+        sweep.tail_estimate[order], sweep.terms_used[order])
+    shell_noise = np.add.reduceat(noise, edges[:-1]).tolist()
+    running, shells, sums = 0j, [], []
+    for s in range(depth + 1):
+        run = terms[edges[s]:edges[s + 1]]
+        sums.append(complex(math.fsum(run.real), math.fsum(run.imag)))
+        running = running + sums[-1]
+        shells.append((s, running))
+    a_abs = abs(sys.a)
+    mask = supp >= 1
+    floor = float(np.min(np.abs(sweep.values[mask])
+                         * a_abs ** -supp[mask].astype(np.float64)))
+    bound = abs(w - sys.b) ** m * branches.geometric_tail(
+        floor, sys.d, a_abs, depth + 1, m)
+    remainder, error = _geometric_completion(
+        sums, shell_noise, sys.d * sys.a ** (-m), bound)
+    return running, tuple(shells), bound, running + remainder, error
+
+
+@pytest.mark.parametrize("make, depth", [
+    (golden_system, 18), (chebyshev_system, 16), (cubic_system, 10),
+], ids=["golden", "chebyshev", "cubic"])
+def test_moment_sum_matches_sorted_reference(make, depth):
+    # The shells, strided views of the index-ordered sweep, give every
+    # field of the report bit for bit as the sorted partition does: golden
+    # at depth 18 spans four chunks of the sweep driver.
+    sys = make()
+    for w in (0j, -2 + 0.5j):
+        for m in (1, 2, 3):
+            rep = moment_sum(sys, m, w, depth)
+            got = (rep.computed_sum, rep.shells, rep.tail_bound,
+                   rep.extrapolated_sum, rep.extrapolation_error)
+            assert got == _moment_by_sorting(sys, m, w, depth), (w, m)

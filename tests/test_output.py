@@ -29,7 +29,6 @@ def synthetic_sweep(d, depth, offset, size=None, seed=0):
     values.real, values.imag = re, im
     return BranchSweep(
         depth=depth, d=d, anchor=0j, offset=offset, values=values,
-        support=np.zeros(size, dtype=np.int16),  # not read by the writer
         terms_used=rng.integers(0, 300, size),
         tail_estimate=est,
         converged=rng.random(size) < 0.7)

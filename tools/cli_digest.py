@@ -9,18 +9,21 @@ against this checkout's src/. Prints one line per run:
 Two checkouts whose digests are equal print the same bytes on every run,
 so diffing the digests of two commits shows whether a change kept the
 output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last eleven runs of RUNS feed the CLI bad input: an
+a traceback. The last twelve runs of RUNS feed the CLI bad input: an
 anchor whose momentum terms overflow, three non-finite values, an anchor
 with three parts, which the argument parser rejects, max_support 0 for
 the three commands whose tail bounds need an address of support >= 1,
 the momenta at w = 1 (Chebyshev's fixed point; on the other problems an
-ordinary anchor), a --png raster one column over the size bound, and an
+ordinary anchor), a --png raster one column over the size bound, an
 invert circle of a billion anchors, whose tables together exceed 2^24
-rows. A checkout that lacks that bound would try to build the billion
-anchors, so run this tool there without that run.
+rows, and a momentum order one above the bound on --m. A checkout that
+lacks the circle bound would try to build the billion anchors, so run
+this tool there without that run.
 
 SHIPPED_RUNS adds runs made on one shipped problem only: golden's table
-at its fixed point b, whose ladder rungs scale by the irrational a = 2b.
+at its fixed point b, whose ladder rungs scale by the irrational a = 2b,
+and golden's momenta of orders 1 to 3 at depth 17, whose sweep spans two
+chunks of the sweep driver.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -93,14 +96,17 @@ RUNS = (
     ("zeros", "--max-support", "2", "--png", "8193x8192",
      "--png-path", os.devnull),
     ("invert", "--circle", "1,1000000000"),
+    ("moments", "--m", "33"),
 )
 
 # (file name under problems/, arguments after its path). The w = b table of
 # golden.json at its default depth: 4,096 rows, every rung scaled by a
-# power of a = 2b = 1 + sqrt(5).
+# power of a = 2b = 1 + sqrt(5). Golden's momenta at depth 17: 131,072
+# addresses, two sweep chunks, summed shell by shell for m = 1, 2, 3.
 SHIPPED_RUNS = (
     ("golden.json", "invert", "--max-support", "12",
      "--w=1.618033988749895", "--verify"),
+    ("golden.json", "moments", "--max-support", "17", "--m", "1,2,3"),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
@@ -137,7 +143,7 @@ GENERAL_RUNS = (
     ("check", "--max-support", "5"),
 )
 # P(z) = 2 z^11 - 1 (b = 1, a = 22). Its runs stay at depth 2, 121 rows:
-# depth 5 would be 161,051.
+# depth 5 would be 161,051. Its momenta sum shells of 10 and 110 addresses.
 WIDE = (
     "2z11-1.json",
     {"coefficients": [[-1.0, 0.0]] + [[0.0, 0.0]] * 10 + [[2.0, 0.0]],
@@ -147,6 +153,7 @@ WIDE = (
 WIDE_RUNS = (
     ("zeros", "--max-support", "2"),
     ("invert", "--max-support", "2", "--w=-2,0.5", "--verify"),
+    ("moments", "--max-support", "2", "--m", "1,2,3"),
 )
 
 
