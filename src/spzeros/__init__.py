@@ -8,6 +8,12 @@ indexed by inverse-branch addresses, evaluates f by genus-zero product
 formulas, and verifies the momenta identities that the branch values satisfy.
 """
 
+import os
+
+# No spzeros BLAS call is big enough to thread: parallelism is the sweep's own
+# chunk pool (SPZEROS_THREADS). Set before numpy loads; a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .branches import (
     BranchProduct,
     BranchSweep,
