@@ -64,6 +64,10 @@ _principal_orbit, which stops each orbit on entering a disc: radius r_s,
 delta/4 and delta. Every product reads its truncation settings,
 sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
+
+The sweeps' one driver, _sweep_leaves, only expands seeds and tails the
+leaves; sweep_products and sweep_solutions_at_b scale the rows by a^N
+themselves and each build one frozen, read-only BranchSweep.
 """
 
 import math
@@ -104,6 +108,8 @@ HYPOTHESIS_ORBIT_CAP = 500
 # Batched sweeps expand the address tree in subtree chunks of at most this
 # many leaves; chunk boundaries are fixed so thread count cannot reorder work.
 CHUNK_LEAVES = 1 << 16
+# Greatest depth of tail_bound's probe sweep; less where d^depth > 50,000.
+TAIL_PROBE_SUPPORT = 6
 
 
 @dataclass(frozen=True)
@@ -194,12 +200,12 @@ def thread_limit():
     return n
 
 
-def _run_ordered(tasks, workers):
-    """Run zero-argument tasks, results in task order regardless of workers."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+def _run_ordered(fn, items, workers):
+    """Map fn over items, results in item order regardless of workers."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _first_branch(rel):
@@ -570,15 +576,14 @@ def _tail_products(sys, v, cap):
     last, count, work = _principal_orbit(sys, v, r_s, cap - 1)
     converged = np.full(v.size, cap >= 1)
     converged[work] = False
-    tail = last.copy()
-    ball = np.abs(last) < delta
-    tail[ball] *= _series(ell, last[ball])
-    tail *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
-    return (tail, count + 1, _series_bound(kappa, delta, np.abs(last)),
-            converged)
+    mag = np.abs(last)
+    ball = mag < delta
+    last[ball] *= _series(ell, last[ball])
+    last *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
+    return last, count + 1, _series_bound(kappa, delta, mag), converged
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchSweep:
     """Product values for every address of support <= depth, in one pass.
 
@@ -589,7 +594,8 @@ class BranchSweep:
     an anchor sweep, values[j - offset] is g_sigma(anchor); for the
     degenerate-anchor sweep (anchor None) it is the ladder base attached to
     an address whose first digit is nonzero.
-    Arrays are shared read-only; treat them as immutable.
+    A sweep is frozen and its four arrays are read-only, since caches hand
+    one sweep to every caller.
     """
 
     depth: int
@@ -600,6 +606,10 @@ class BranchSweep:
     terms_used: np.ndarray
     tail_estimate: np.ndarray
     converged: np.ndarray
+
+    def __post_init__(self):
+        for name in ("values", "terms_used", "tail_estimate", "converged"):
+            getattr(self, name).setflags(write=False)
 
     def indices(self):
         return np.arange(self.values.size, dtype=np.int64) + self.offset
@@ -638,84 +648,64 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _sweep_from_seeds(sys, seeds_v, levels, depth, offset, at_b=False):
+def _sweep_leaves(sys, seeds, levels):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
-    The telescoped value of a leaf is a^depth times its principal tail
-    L(v_leaf), regardless of how the prefix interleaved principal and
-    nonzero digits. With at_b the seed is v = 0, the degenerate anchor.
-    Leading zero digits keep v at exactly 0, so index segment
-    [d^(K-1), d^K), the addresses with depth - K leading zeros, reaches the
-    leaves of the depth-K ladder sweep (sweep_solutions_at_b). Each of its
-    rows is that sweep's a^K L(v_leaf) times a^(depth-K), with K prefix
-    factors. Index 0 is the solution 0.
+    Returns _tail_products' (tail, steps, tail_estimate, converged) of the
+    d^levels leaves of every seed, in padded-index order. Expansion is
+    serial until a seed's subtree fits CHUNK_LEAVES; fixed chunks of whole
+    subtrees then run on the SPZEROS_THREADS pool, whose size moves no bit.
     """
-    v = seeds_v
-    # Serial expansion until one seed subtree fits a chunk.
+    v = seeds
     while levels > 0 and sys.d ** levels > CHUNK_LEAVES:
         v = _expand_level(sys, v)
         levels -= 1
-    leaves_per_seed = sys.d ** levels
-    group = max(1, CHUNK_LEAVES // leaves_per_seed)
-    spans = [(lo, min(lo + group, v.size)) for lo in range(0, v.size, group)]
-    renorm = sys.a ** depth
+    group = max(1, CHUNK_LEAVES // sys.d ** levels)
     # The tail's series data, built once before the chunks share it.
     _koenigs_data(sys)
 
-    def chunk_task(lo, hi):
-        cv = v[lo:hi]
+    def chunk(lo):
+        cv = v[lo:lo + group]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
-        tail, steps, est, conv = _tail_products(sys, cv, sys.n_cap)
-        return tail if at_b else renorm * tail, steps, est, conv
+        return _tail_products(sys, cv, sys.n_cap)
 
-    results = _run_ordered(
-        [lambda lo=lo, hi=hi: chunk_task(lo, hi) for lo, hi in spans],
-        thread_limit(),
-    )
-    values = np.concatenate([r[0] for r in results])
-    steps = np.concatenate([r[1] for r in results]).astype(np.int32)
-    est = np.concatenate([r[2] for r in results])
-    conv = np.concatenate([r[3] for r in results])
-    if at_b:
-        for K in range(1, depth + 1):
-            lo, hi = sys.d ** (K - 1), sys.d ** K
-            rung = sys.a ** K * values[lo:hi]
-            values[lo:hi] = sys.a ** (depth - K) * rung
-            steps[lo:hi] += K
-        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
-    else:
-        steps += depth
-
-    return BranchSweep(
-        depth=depth,
-        d=sys.d,
-        anchor=None,
-        offset=offset,
-        values=values,
-        terms_used=steps,
-        tail_estimate=est,
-        converged=conv,
-    )
+    results = _run_ordered(chunk, range(0, v.size, group), thread_limit())
+    return [np.concatenate(column) for column in zip(*results)]
 
 
 def sweep_products(sys, w, max_support):
     """Values g_sigma(w) for every address with support <= max_support.
 
-    One batched pass over the padded address tree of the given depth; shared
-    digit prefixes share their orbits and partial products. At the
-    degenerate anchor (|w - b| <= W_NEAR_B) the pass starts from v = 0, as
-    inverse_branch does, and returns 0 and the ladders a^m * base.
+    One batched pass over the padded address tree of depth N = max_support;
+    shared digit prefixes share their orbits and partial products, and a
+    leaf's value is a^N L(v_leaf), with N prefix factors. At the degenerate
+    anchor (|w - b| <= W_NEAR_B) the pass starts from v = 0, as
+    inverse_branch does: leading zero digits keep v at exactly 0, so index
+    segment [d^(K-1), d^K) holds the depth-K ladder sweep
+    (sweep_solutions_at_b), a^K L(v_leaf) with K prefix factors, times
+    a^(N-K). Index 0 is the solution 0.
     """
     w = complex(w)
     if max_support < 0:
         raise ValueError("max_support must be nonnegative")
+    N = max_support
     at_b = abs(w - sys.b) <= W_NEAR_B
-    seeds_v = np.array([0j if at_b else w - sys.b], dtype=np.complex128)
-    sweep = _sweep_from_seeds(sys, seeds_v, max_support, max_support, 0,
-                              at_b)
-    sweep.anchor = w
-    return sweep
+    seeds = np.array([0j if at_b else w - sys.b], dtype=np.complex128)
+    values, steps, est, conv = _sweep_leaves(sys, seeds, N)
+    if at_b:
+        for K in range(1, N + 1):
+            lo, hi = sys.d ** (K - 1), sys.d ** K
+            values[lo:hi] = sys.a ** (N - K) * (sys.a ** K * values[lo:hi])
+            steps[lo:hi] += K
+        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
+    else:
+        # numpy's complex a * t and t * a can differ in the last bits: every
+        # sweep keeps the scalar on the left, and out= scales in place.
+        np.multiply(sys.a ** N, values, out=values)
+        steps += N
+    return BranchSweep(depth=N, d=sys.d, anchor=w, offset=0, values=values,
+                       terms_used=steps, tail_estimate=est, converged=conv)
 
 
 def sweep_solutions_at_b(sys, max_support):
@@ -728,14 +718,18 @@ def sweep_solutions_at_b(sys, max_support):
         base = a * (P_j^{-1}(b) - b) * prod_{n>=2} a / Q(u_n).
 
     Only addresses with nonzero leading digit occur, so padded indices start
-    at offset d^(depth-1).
+    at offset d^(N-1), N = max_support; each value is a^N L(v_leaf).
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1 for the degenerate anchor")
-    seeds_v = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
-    offset = sys.d ** (max_support - 1)
-    return _sweep_from_seeds(sys, seeds_v, max_support - 1, max_support,
-                             offset)
+    N = max_support
+    seeds = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
+    values, steps, est, conv = _sweep_leaves(sys, seeds, N - 1)
+    np.multiply(sys.a ** N, values, out=values)  # scalar left, as above
+    steps += N
+    return BranchSweep(depth=N, d=sys.d, anchor=None, offset=sys.d ** (N - 1),
+                       values=values, terms_used=steps, tail_estimate=est,
+                       converged=conv)
 
 
 def _address_product(sys, digits, v0, label):
@@ -863,19 +857,18 @@ def geometric_tail(c_est, d, a_abs, start_support, m):
     return c_est ** (-m) * q ** start_support / (1.0 - q)
 
 
-def tail_bound(sys, N, m, w=0j, probe_support=6):
+def tail_bound(sys, N, m, w=0j):
     """Executable bound on sum over support >= N of |g_sigma(w)|^-m.
 
     The floor constant is measured on an enumerated probe sweep (supports up
-    to probe_support) and extrapolated geometrically: the shell at support n
-    contributes at most C^-m (d |a|^-m)^n.
+    to TAIL_PROBE_SUPPORT) and extrapolated geometrically: the shell at
+    support n contributes at most C^-m (d |a|^-m)^n.
     """
     a_abs = abs(sys.a)
     q = sys.d * a_abs ** (-m)
     if q >= 1.0:
         raise DivergentTail(f"d |a|^-m = {q:.6f} >= 1; tail diverges for m={m}")
-    probe = max(1, min(probe_support,
-                       max(2, int(math.log(50000, sys.d)))))
+    probe = min(TAIL_PROBE_SUPPORT, max(2, int(math.log(50000, sys.d))))
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         sweep = sweep_solutions_at_b(sys, probe)

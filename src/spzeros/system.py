@@ -198,7 +198,7 @@ def _eval_f_with_slope(sys, z):
         If a point is not finite.
     NonConvergence
         If EVAL_DEPTH_CAP is reached (the exception carries the worst
-        relative gap), or the orbit overflows.
+        relative gap) or passed by the second depth, or the orbit overflows.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.size == 0:
@@ -209,6 +209,9 @@ def _eval_f_with_slope(sys, z):
     coeffs = sys.V.coefficients
     dV = sys.V.derivative()
     n = 10 + max(1, math.ceil(math.log(az, abs(sys.a)))) if az > 1 else 11
+    if n + DEPTH_STEP > EVAL_DEPTH_CAP:
+        raise NonConvergence(f"direct evaluation needs depth {n + DEPTH_STEP}"
+                             f", past the depth cap {EVAL_DEPTH_CAP}")
 
     # Overflow, in a^depth at huge |z| or in the orbit, is reported by the
     # OVERFLOW_LIMIT test, which a NaN fails too, not by numpy warnings.

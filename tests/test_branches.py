@@ -482,6 +482,23 @@ def test_sweep_independent_of_thread_count(monkeypatch):
     four = sweep_products(sys, 0j, 4)
     assert np.array_equal(one.values, four.values)
     assert np.array_equal(one.terms_used, four.terms_used)
+    # Golden's anchored and w = b sweeps at depth 17 and its ladder sweep
+    # at depth 18 span two chunks each: the pool runs them on two threads
+    # with the same bits as one thread runs them in turn.
+    sys = golden_system()
+    runs = (lambda: sweep_products(sys, -2 + 0.5j, 17),
+            lambda: sweep_products(sys, sys.b, 17),
+            lambda: sweep_solutions_at_b(sys, 18))
+    for run in runs:
+        sweeps = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPZEROS_THREADS", threads)
+            sweeps.append(run())
+        one, two = sweeps
+        assert one.values.size == 2 * branches.CHUNK_LEAVES
+        for name in ("values", "terms_used", "tail_estimate", "converged"):
+            assert np.array_equal(getattr(one, name).view(np.uint8),
+                                  getattr(two, name).view(np.uint8)), name
 
 
 def test_eval_agrees_with_product_zero():
@@ -707,7 +724,7 @@ def test_root_tolerance_reaches_every_root_solve(monkeypatch):
         "sweep_solutions_at_b": lambda: sweep_solutions_at_b(sys, 2),
         "check_hypothesis1": lambda: check_hypothesis1(sys, 10.0, 16),
         "zero_product": lambda: zero_product(sys, (1,)),
-        "tail_bound": lambda: tail_bound(sys, 4, 2, probe_support=2),
+        "tail_bound": lambda: tail_bound(sys, 4, 2),
     }
     for name, run in runs.items():
         seen.clear()
@@ -751,7 +768,7 @@ def test_product_settings_reach_every_product(monkeypatch, tmp_path):
         "zero_product": lambda: zero_product(sys, ()),
         "inverse_branch": lambda: inverse_branch(sys, (), 0.5),
         "g0_and_derivative": lambda: g0_and_derivative(sys, 0.5),
-        "tail_bound": lambda: tail_bound(sys, 4, 2, probe_support=2),
+        "tail_bound": lambda: tail_bound(sys, 4, 2),
         "moment_sum": lambda: moment_sum(sys, 2, 0j, 2),
         "wh_eval": lambda: wh_eval(sys, 0.5, 0j, 2),
         "cross_check": lambda: cross_check(sys, [0.5, -1j], 2),

@@ -9,6 +9,7 @@ import pytest
 from spzeros import (
     ComplexPolynomial,
     DegreeTooLow,
+    NonConvergence,
     NoRepellingFixedPoint,
     ZeroFixedPoint,
     bell_polynomial,
@@ -233,6 +234,28 @@ def test_eval_f_direct_accurate_at_large_argument(z):
     # eps |z| |f'(z)| is 5e-13 to 5e-11.
     want, _ = _chebyshev_exact(z)
     assert abs(eval_f_direct(chebyshev_system(), z) - want) <= 1e-14
+
+
+def test_eval_f_past_depth_cap_runs_no_orbit(monkeypatch):
+    # At z = -4^196 Chebyshev's first depth is 10 + log_4 |z| = 206, and
+    # the second would be past EVAL_DEPTH_CAP = 200: no two depths can be
+    # compared, so the evaluator raises before any Horner step.
+    calls = []
+    horner = dd.cdd_horner
+
+    def counting(coeffs, v):
+        calls.append(1)
+        return horner(coeffs, v)
+
+    monkeypatch.setattr(dd, "cdd_horner", counting)
+    sys = chebyshev_system()
+    _eval_f_with_slope(sys, np.array([-4.0]))
+    assert calls
+    calls.clear()
+    with pytest.raises(NonConvergence, match="needs depth 21[12], past the "
+                                             "depth cap 200"):
+        _eval_f_with_slope(sys, np.array([-(4.0 ** 196)]))
+    assert calls == []
 
 
 def test_slope_satisfies_differentiated_functional_equation():

@@ -22,8 +22,10 @@ this tool there without that run.
 
 SHIPPED_RUNS adds runs made on one shipped problem only: golden's table
 at its fixed point b, whose ladder rungs scale by the irrational a = 2b,
-and golden's momenta of orders 1 to 3 at depth 17, whose sweep spans two
-chunks of the sweep driver.
+at depth 12 and at depth 17, where the w = b sweep spans two chunks of the
+sweep driver; golden's momenta of orders 1 to 3 at depth 17, two chunks;
+and golden's wh at depth 18, whose ladder sweep spans two chunks and whose
+anchored sweep spans four.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -101,12 +103,18 @@ RUNS = (
 
 # (file name under problems/, arguments after its path). The w = b table of
 # golden.json at its default depth: 4,096 rows, every rung scaled by a
-# power of a = 2b = 1 + sqrt(5). Golden's momenta at depth 17: 131,072
+# power of a = 2b = 1 + sqrt(5); at depth 17 the same table has 131,072
+# rows from two sweep chunks. Golden's momenta at depth 17: 131,072
 # addresses, two sweep chunks, summed shell by shell for m = 1, 2, 3.
+# Golden's wh at depth 18 beyond a quarter of the smallest ladder base:
+# a ladder sweep of two chunks and an anchored sweep of four.
 SHIPPED_RUNS = (
     ("golden.json", "invert", "--max-support", "12",
      "--w=1.618033988749895", "--verify"),
+    ("golden.json", "invert", "--max-support", "17",
+     "--w=1.618033988749895"),
     ("golden.json", "moments", "--max-support", "17", "--m", "1,2,3"),
+    ("golden.json", "wh", "--max-support", "18", "--z=-40,3"),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
