@@ -105,6 +105,10 @@ NEWTON_CAP = 12
 NEWTON_RESIDUAL = 8e-16
 # Principal steps the Hypothesis-1 probe allows an orbit to reach the ball.
 HYPOTHESIS_ORBIT_CAP = 500
+# The probe's grid: HYPOTHESIS_COUNT points on 8 circles of radius up to
+# HYPOTHESIS_RADIUS, the same number on each.
+HYPOTHESIS_RADIUS = 10.0
+HYPOTHESIS_COUNT = 64
 # Batched sweeps expand the address tree in subtree chunks of at most this
 # many leaves; chunk boundaries are fixed so thread count cannot reorder work.
 CHUNK_LEAVES = 1 << 16
@@ -805,24 +809,19 @@ def g0_and_derivative(sys, w):
     return g, 1.0 / slope
 
 
-def check_hypothesis1(sys, grid_radius, grid_count):
+def check_hypothesis1(sys):
     """Probe principal-orbit convergence on concentric circles.
 
-    Samples grid_count points on up to 8 circles of radius up to grid_radius
-    centered at the origin and walks each one's _principal_orbit, counting
-    steps until it enters the certified contraction ball; an orbit still
-    outside after HYPOTHESIS_ORBIT_CAP steps has not converged.
+    Samples HYPOTHESIS_COUNT points on 8 circles of radius up to
+    HYPOTHESIS_RADIUS centered at the origin, the odd circles turned by
+    half a spacing, and walks each one's _principal_orbit, counting steps
+    until it enters the certified contraction ball; an orbit still outside
+    after HYPOTHESIS_ORBIT_CAP steps has not converged.
     """
-    if grid_count < 1:
-        raise ValueError("grid_count must be >= 1")
-    if grid_radius <= 0:
-        raise ValueError("grid_radius must be positive")
-    circles = min(8, grid_count)
-    base, extra = divmod(grid_count, circles)
+    m = HYPOTHESIS_COUNT // 8
     pts = []
-    for i in range(1, circles + 1):
-        m = base + (1 if i <= extra else 0)
-        r = grid_radius * i / circles
+    for i in range(1, 9):
+        r = HYPOTHESIS_RADIUS * i / 8
         pts.extend(r * np.exp(2j * np.pi * (np.arange(m) + 0.5 * (i % 2)) / m))
     points = np.array(pts, dtype=np.complex128)
 

@@ -8,8 +8,9 @@ transformations, no FMA required) pushes the per-step noise to O(eps^2), so
 the amplified total stays far below the truncation tolerance.
 
 Complex double-double values are tuples (re_hi, re_lo, im_hi, im_lo) of
-float64 ndarrays. Only the operations the evaluator needs are provided;
-the row writer (spzeros.fields) shares two_prod.
+float64 ndarrays or scalars, which numpy broadcasts: a constant c enters
+as (c.real, 0.0, c.imag, 0.0). Only the operations the evaluator needs are
+provided; the row writer (spzeros.fields) shares two_prod.
 """
 
 import numpy as np
@@ -63,8 +64,7 @@ def dd_mul(xh, xl, yh, yl):
 def cdd_from(z):
     """Lift a complex array (or scalar) to complex double-double."""
     z = np.asarray(z, dtype=np.complex128)
-    zero = np.zeros_like(z.real)
-    return z.real.copy(), zero.copy(), z.imag.copy(), zero.copy()
+    return z.real, 0.0, z.imag, 0.0
 
 
 def cdd_collapse(x):
@@ -93,29 +93,18 @@ def cdd_mul(x, y):
     return rh, rl, ih, il
 
 
-def cdd_add_complex(x, c):
-    """Add an exact complex double constant."""
-    xr, xl, xi, xj = x
-    rh, rl = dd_add(xr, xl, np.full_like(xr, c.real), 0.0)
-    ih, il = dd_add(xi, xj, np.full_like(xi, c.imag), 0.0)
-    return rh, rl, ih, il
-
-
 def cdd_horner(coefficients, v):
     """Evaluate a polynomial with complex double coefficients at cdd points."""
-    shape = np.broadcast_shapes(v[0].shape, ())
-    c = coefficients[-1]
-    acc = (np.full(shape, c.real), np.zeros(shape),
-           np.full(shape, c.imag), np.zeros(shape))
-    for c in coefficients[-2::-1]:
-        acc = cdd_mul(acc, v)
-        acc = cdd_add_complex(acc, complex(c))
+    c = complex(coefficients[-1])
+    acc = (c.real, 0.0, c.imag, 0.0)
+    for c in map(complex, coefficients[-2::-1]):
+        acc = cdd_add(cdd_mul(acc, v), (c.real, 0.0, c.imag, 0.0))
     return acc
 
 
 def cdd_power(base, n):
     """base^n for a complex double scalar, by squaring, as scalar cdd."""
-    result = cdd_from(np.complex128(1.0))
+    result = (1.0, 0.0, 0.0, 0.0)
     square = cdd_from(np.complex128(base))
     e = int(n)
     while e:

@@ -146,8 +146,10 @@ def _complex_sum(values):
     return complex(_fsum(values.real), _fsum(values.imag))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pairwise_product(values):
-    """Balanced tree product, deterministic for a fixed operand order."""
+    """Balanced tree product, deterministic for a fixed operand order;
+    an overflow leaves inf or nan in it, with no numpy warning."""
     x = np.asarray(values, dtype=np.complex128)
     if x.size == 0:
         return 1.0 + 0j

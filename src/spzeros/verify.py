@@ -128,7 +128,8 @@ def cluster_zeros(pairs, tol):
 
 @dataclass(frozen=True)
 class CrossCheckRow:
-    """Values of f(z) along each route plus their worst disagreement."""
+    """Values of f(z) along each route plus their worst disagreement,
+    which is nan when a route is not finite."""
 
     z: complex
     direct: complex
@@ -178,7 +179,12 @@ def cross_check(sys, samples, max_support, anchor=0j, products=True,
         anchored = wh_eval(sys, z, anchor, max_support)
         ladder = wh_eval(sys, z, sys.b, max_support)
         trio = (direct, anchored.product_value, ladder.product_value)
-        deviation = max(abs(x - y) for x in trio for y in trio)
+        # Python's abs(complex), not np.abs, which differs from it in the
+        # last bit on about a third of values. A route that is not finite
+        # makes the deviation nan: max would keep |direct - direct| = 0,
+        # since every comparison with nan is false.
+        deviation = (max(abs(x - y) for x in trio for y in trio)
+                     if all(map(cmath.isfinite, trio)) else math.nan)
         rows.append(CrossCheckRow(
             z=z, direct=direct,
             product_anchored=anchored.product_value,
@@ -190,6 +196,8 @@ def cross_check(sys, samples, max_support, anchor=0j, products=True,
     return CrossCheckReport(
         rows=tuple(rows),
         roundtrips=tuple(roundtrips),
-        worst_deviation=max((r.max_deviation for r in rows), default=0.0),
+        # np.max, unlike max, keeps a row's nan.
+        worst_deviation=float(np.max([r.max_deviation for r in rows],
+                                     initial=0.0)),
         worst_roundtrip=max((e for _, e in roundtrips), default=0.0),
     )

@@ -391,9 +391,9 @@ def test_g0_derivative_against_finite_difference():
 
 def test_hypothesis_probe_passes_on_examples():
     for sys in (chebyshev_system(), golden_system(), cubic_system()):
-        rep = check_hypothesis1(sys, 10.0, 32)
+        rep = check_hypothesis1(sys)
         assert rep.passed
-        assert rep.converged_points == rep.sampled_points == 32
+        assert rep.converged_points == rep.sampled_points == 64
 
 
 def _probe_grid(radius, count):
@@ -422,10 +422,10 @@ def _scalar_orbit_length(sys, z, cap):
 
 
 def test_hypothesis_orbit_lengths_match_scalar_walk():
-    grid = _probe_grid(10.0, 32)
+    grid = _probe_grid(10.0, 64)
     for sys in (chebyshev_system(), golden_system(), cubic_system()):
         lengths = [_scalar_orbit_length(sys, z, 100) for z in grid]
-        rep = check_hypothesis1(sys, 10.0, 32)
+        rep = check_hypothesis1(sys)
         assert rep.passed and None not in lengths
         assert rep.max_orbit_length == max(lengths) >= 2
         assert rep.worst_point == grid[lengths.index(max(lengths))]
@@ -433,14 +433,14 @@ def test_hypothesis_orbit_lengths_match_scalar_walk():
 
 def test_hypothesis_probe_reports_unconverged_orbits(monkeypatch):
     sys = chebyshev_system()
-    grid = _probe_grid(10.0, 32)
+    grid = _probe_grid(10.0, 64)
     lengths = [_scalar_orbit_length(sys, z, 1) for z in grid]
     assert None in lengths and lengths.count(None) < len(grid)
     monkeypatch.setattr(branches, "HYPOTHESIS_ORBIT_CAP", 1)
-    rep = check_hypothesis1(sys, 10.0, 32)
+    rep = check_hypothesis1(sys)
     assert not rep.passed
-    assert rep.sampled_points == 32
-    assert rep.converged_points == 32 - lengths.count(None)
+    assert rep.sampled_points == 64
+    assert rep.converged_points == 64 - lengths.count(None)
     assert rep.worst_point == grid[lengths.index(None)]
     assert rep.max_orbit_length == max(n for n in lengths if n is not None)
     assert rep.max_orbit_length <= 1
@@ -722,7 +722,7 @@ def test_root_tolerance_reaches_every_root_solve(monkeypatch):
         "contraction_delta": lambda: contraction_delta.__wrapped__(sys),
         "sweep_products": lambda: sweep_products(sys, 0j, 2),
         "sweep_solutions_at_b": lambda: sweep_solutions_at_b(sys, 2),
-        "check_hypothesis1": lambda: check_hypothesis1(sys, 10.0, 16),
+        "check_hypothesis1": lambda: check_hypothesis1(sys),
         "zero_product": lambda: zero_product(sys, (1,)),
         "tail_bound": lambda: tail_bound(sys, 4, 2),
     }

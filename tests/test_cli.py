@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -245,6 +246,24 @@ def test_wh_budget_beyond_double_range_is_infinite(capsys):
     assert len(rows) == 1
     assert rows[0][9] == "inf"
     assert abs(float(rows[0][2]) - math.cos(math.sqrt(2e5))) <= 1e-9
+
+
+@pytest.mark.parametrize("problem", [CHEB, GOLD], ids=["chebyshev2", "golden"])
+def test_wh_route_not_finite_fails_row(problem, capsys):
+    # At z = -1e8 both product routes overflow to nan: the row's deviation
+    # is nan, which is not within any budget, and the overflow raises no
+    # numpy warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["wh", problem, "--max-support", "8", "--z=-1e8,0"], capsys)
+    assert code == 2
+    assert caught == []
+    assert err.splitlines() == [
+        "three-route deviation exceeded tail budget + 1.0e-06"]
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0][8] == "nan"
 
 
 def test_wh_runs_no_roundtrip(monkeypatch, capsys):
@@ -493,8 +512,8 @@ def test_help_exit_code(capsys):
 def test_hypothesis_gate_exit_code(monkeypatch, capsys):
     import spzeros.cli as cli
 
-    def failing_probe(sys_, radius, count):
-        return HypothesisReport(sampled_points=count, converged_points=0,
+    def failing_probe(sys_):
+        return HypothesisReport(sampled_points=64, converged_points=0,
                                 max_orbit_length=0, worst_point=1j,
                                 passed=False)
 

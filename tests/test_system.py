@@ -311,3 +311,69 @@ def test_dd_mul_near_double_double_precision():
         want = x * y
         if want != 0:
             assert abs(got - want) / abs(want) < Fraction(1, 2**100)
+
+
+def _cdd_exact(x):
+    # Exact (re, im) Fractions of each point of a complex double-double,
+    # whose parts may be arrays or scalars.
+    rh, rl, ih, il = (np.ravel(p) for p in np.broadcast_arrays(*x))
+    return [(_dd_to_fraction(a, b), _dd_to_fraction(c, d))
+            for a, b, c, d in zip(rh, rl, ih, il)]
+
+
+def _c(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _cmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _cerr(x, y):
+    return math.hypot(float(x[0] - y[0]), float(x[1] - y[1]))
+
+
+def _reference_and_quartic():
+    quartic = build_system(ComplexPolynomial((-1 + 0.2j, 0, 0.3, 0, 1)), 1.5)
+    return chebyshev_system(), golden_system(), cubic_system(), quartic
+
+
+def test_cdd_horner_against_exact_rationals():
+    # V at 200 double-double points per system, |v| from 1e-8 to 1e3,
+    # within 2^-100 of sum |c_k| |v|^k of the exact rational value.
+    rng = np.random.default_rng(47)
+    for sys in _reference_and_quartic():
+        coeffs = sys.V.coefficients
+        mod = 10.0 ** rng.uniform(-8, 3, 200)
+        hi = mod * np.exp(2j * np.pi * rng.random(200))
+        lo = hi * rng.uniform(-1, 1, 200) * 2.0 ** -54
+        v = (hi.real, lo.real, hi.imag, lo.imag)
+        got = _cdd_exact(dd.cdd_horner(coeffs, v))
+        for value, point, m in zip(got, _cdd_exact(v), mod):
+            want = (Fraction(0), Fraction(0))
+            for c in reversed(coeffs):
+                prod = _cmul(want, point)
+                want = (prod[0] + _c(c)[0], prod[1] + _c(c)[1])
+            scale = sum(abs(c) * m ** k for k, c in enumerate(coeffs))
+            assert _cerr(value, want) <= 2.0 ** -100 * scale
+
+
+def test_cdd_power_and_division_against_exact_rationals():
+    # a^n, and z / a^n for exact z, within 2^-100 of the exact rationals
+    # relative to their moduli.
+    for sys in _reference_and_quartic():
+        for n in (0, 1, 11, 37):
+            power = dd.cdd_power(sys.a, n)
+            (got,) = _cdd_exact(power)
+            want = (Fraction(1), Fraction(0))
+            for _ in range(n):
+                want = _cmul(want, _c(sys.a))
+            scale = abs(sys.a) ** n
+            assert _cerr(got, want) <= 2.0 ** -100 * scale
+            norm = want[0] ** 2 + want[1] ** 2
+            for z in (3 - 1j, -1e7, 2.5e-3 + 4j):
+                (got,) = _cdd_exact(dd.cdd_div_exact_by(z, power))
+                num = _cmul(_c(z), (want[0], -want[1]))
+                quotient = (num[0] / norm, num[1] / norm)
+                assert _cerr(got, quotient) <= 2.0 ** -100 * abs(z) / scale

@@ -86,6 +86,18 @@ def test_cross_check_reports_agreement():
         assert report.worst_roundtrip <= 1e-7
 
 
+def test_cross_check_route_not_finite_is_nan():
+    # At z = -1e8 both product routes overflow to nan. Every comparison
+    # with nan is false, so max over the pairs would report 0 and max over
+    # the rows would drop a nan after a finite row: both keep the nan.
+    report = cross_check(chebyshev_system(), [0.5, -1e8], 8, roundtrip=False)
+    finite, overflow = report.rows
+    assert finite.max_deviation <= 1e-6 + finite.claimed_budget
+    assert cmath.isnan(overflow.product_anchored)
+    assert np.isnan(overflow.max_deviation)
+    assert np.isnan(report.worst_deviation)
+
+
 @pytest.mark.parametrize("make_system", [chebyshev_system, golden_system])
 def test_cross_check_without_roundtrip(make_system):
     # Without the round trip only the direct route's batch shrinks: its

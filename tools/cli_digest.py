@@ -5,11 +5,15 @@ with SPZEROS_THREADS=1 and once with 2, each run in a fresh interpreter
 against this checkout's src/. Prints one line per run:
 
     threads=<n> <arguments> exit=<code> stderr_lines=<n> sha256=<stdout's>
+        stderr_sha256=<stderr's>
 
-Two checkouts whose digests are equal print the same bytes on every run,
-so diffing the digests of two commits shows whether a change kept the
-output. The count of stderr lines tells a one-line `error:` message from
-a traceback. The last twelve runs of RUNS feed the CLI bad input: an
+(on one line). Two checkouts whose digests are equal print the same bytes
+on every run, so diffing the digests of two commits shows whether a
+change kept the output. The count of stderr lines tells a one-line
+`error:` message from a traceback, and the stderr hash shows a reworded
+message or a new warning. Before hashing, stderr has the checkout's root
+path replaced by ROOT, so that tracebacks and warnings compare across
+checkouts. The last twelve runs of RUNS feed the CLI bad input: an
 anchor whose momentum terms overflow, three non-finite values, an anchor
 with three parts, which the argument parser rejects, max_support 0 for
 the three commands whose tail bounds need an address of support >= 1,
@@ -66,7 +70,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # At w = -3 Chebyshev's first step has v + kappa = -2, so its two roots
 # are +-i and tie in distance from b: the tie rule's angle decides.
 # wh at z = -1e5 has a product budget too large for a double: the row
-# prints claimed_budget inf on Chebyshev and golden. The PNG of the last
+# prints claimed_budget inf on Chebyshev and golden. At z = -1e8 both
+# product routes overflow there, so the row's max_deviation is nan and
+# fails, while cubic6's direct route ends in an orbit overflow error. The
+# PNG of the last
 # run is written to os.devnull wherever the size is accepted.
 RUNS = (
     ("zeros", "--max-support", "6"),
@@ -86,6 +93,7 @@ RUNS = (
     ("invert", "--max-support", "9", "--circle", "2,5"),
     ("invert", "--max-support", "6", "--w=-3,0", "--verify"),
     ("wh", "--max-support", "4", "--z=-1e5,0"),
+    ("wh", "--max-support", "8", "--z=-1e8,0"),
     ("moments", "--w=1e300"),
     ("invert", "--max-support", "2", "--w=nan"),
     ("wh", "--max-support", "2", "--z=inf"),
@@ -170,11 +178,12 @@ def _digest(env, argv, shown):
     proc = subprocess.run(
         [sys.executable, "-m", "spzeros", *argv], cwd=ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False)
-    digest = hashlib.sha256(proc.stdout).hexdigest()
+    stderr = proc.stderr.replace(str(ROOT).encode(), b"ROOT")
     print(f"threads={env['SPZEROS_THREADS']} {' '.join(shown)} "
           f"exit={proc.returncode} "
           f"stderr_lines={len(proc.stderr.splitlines())} "
-          f"sha256={digest}", flush=True)
+          f"sha256={hashlib.sha256(proc.stdout).hexdigest()} "
+          f"stderr_sha256={hashlib.sha256(stderr).hexdigest()}", flush=True)
 
 
 def main():
