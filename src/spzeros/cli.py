@@ -84,10 +84,10 @@ BLOCK_ROWS = 1 << 12
 # Largest --png raster, width * height pixels: 64 MiB of uint8, which the
 # PNG writer copies once more.
 PNG_MAX_PIXELS = 1 << 26
-# Largest momentum order --m accepts. The closed form enumerates every
-# partition of m, so its cost grows faster than the partition count: one
-# golden call took 0.23 s of CPU at m = 24 and 3.0 s at m = 32 on a
-# 2-vCPU Xeon, and every larger order costs more.
+# Largest momentum order --m accepts. The closed form is a series recursion
+# of O(d m^2) double-double products: one golden call took 12 ms of CPU at
+# m = 24 and 19 ms at m = 32 on a 2-vCPU Xeon, so the bound no longer
+# guards its cost; whether to raise it is a decision of its own.
 MAX_MOMENT_ORDER = 32
 
 __all__ = [
@@ -368,16 +368,27 @@ def cmd_wh(spec, args):
     samples = np.array(args.z, dtype=np.complex128)
     report = cross_check(sys_, samples, spec.max_support, anchor=args.anchor,
                          roundtrip=False)
-    failed = False
+    over_budget = False
+    not_finite = []
     with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z_re", "z_im", "limit_re", "limit_im",
                          "anchored_re", "anchored_im", "ladder_re",
                          "ladder_im", "max_deviation", "claimed_budget"])
         for row in report.rows:
-            # "not within", so that a nan deviation fails its row.
-            if not row.max_deviation <= WH_SLACK + row.claimed_budget:
-                failed = True
+            # The deviation is nan when a route is not finite: no budget
+            # applies, so the message names those routes instead.
+            if math.isnan(row.max_deviation):
+                routes = zip(("limit", "anchored", "ladder"),
+                             (row.direct, row.product_anchored,
+                              row.product_ladder))
+                not_finite.append(
+                    f"route not finite at z = {_fmt(row.z.real)},"
+                    f"{_fmt(row.z.imag)}: " + ", ".join(
+                        name for name, value in routes
+                        if not cmath.isfinite(value)))
+            elif not row.max_deviation <= WH_SLACK + row.claimed_budget:
+                over_budget = True
             writer.writerow([
                 _fmt(row.z.real), _fmt(row.z.imag),
                 _fmt(row.direct.real), _fmt(row.direct.imag),
@@ -386,11 +397,12 @@ def cmd_wh(spec, args):
                 _fmt(row.product_ladder.real), _fmt(row.product_ladder.imag),
                 _fmt(row.max_deviation), _fmt(row.claimed_budget),
             ])
-    if failed:
+    for line in not_finite:
+        print(line, file=_sys.stderr)
+    if over_budget:
         print("three-route deviation exceeded tail budget "
               f"+ {WH_SLACK:.1e}", file=_sys.stderr)
-        return 2
-    return 0
+    return 2 if over_budget or not_finite else 0
 
 
 def cmd_check(spec, args):

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import dd
 from .branches import (
     UNIT_ROUNDOFF,
     W_NEAR_B,
@@ -24,7 +25,7 @@ from .branches import (
     sweep_solutions_at_b,
 )
 from .errors import DivergentMoment, OrderTooLarge, ValidationError
-from .system import bell_polynomial, taylor_at_zero
+from .system import _taylor_series
 
 # Number of trailing shell ratios whose drift from d/a^m sizes the error of
 # the geometric tail completion.
@@ -163,20 +164,31 @@ def _pairwise_product(values):
 def closed_form_momentum(sys, m, w):
     """Right-hand side of the order-m momentum identity at anchor w.
 
-    sum_{j=1}^{m} (w - b)^(m-j) ((j-1)!/(m-1)!) B_{m,j}(f'(0), ..., f^(m-j+1)(0)).
+    With c = w - b and the Taylor data phi = f - b, e_n = phi_n c^(n-1)
+    makes (f(cx) - w) / (b - w) = 1 - sum_n e_n x^n, whose zeros are
+    g_sigma(w) / c. Newton's identities then give the momenta
+    p_n = sum_sigma (c / g_sigma(w))^n as
 
-    For m = 1 this is f'(0) = 1 for every anchor.
+        p_n = n e_n + sum_{k<n} e_k p_(n-k),
+
+    in complex double-double. For m = 1 this is f'(0) = 1 for every anchor.
     """
     if m < 1:
         raise ValueError("momentum order must be >= 1")
-    taylor = taylor_at_zero(sys, m)
-    raw = [taylor.derivative_at_zero(k) for k in range(m + 1)]
-    total = 0j
-    for j in range(1, m + 1):
-        coeff = math.factorial(j - 1) / math.factorial(m - 1)
-        total += ((w - sys.b) ** (m - j) * coeff
-                  * bell_polynomial(m, j, raw[1:m - j + 2]))
-    return total
+    phi = _taylor_series(sys, m)
+    c = dd.cdd_add(dd.cdd_from(complex(w)), dd.cdd_from(-sys.b))
+    e = [None]
+    power = (1.0, 0.0, 0.0, 0.0)
+    for n in range(1, m + 1):
+        e.append(dd.cdd_mul(phi[n], power))
+        power = dd.cdd_mul(power, c)
+    p = [None]
+    for n in range(1, m + 1):
+        acc = dd.cdd_mul((float(n), 0.0, 0.0, 0.0), e[n])
+        for k in range(1, n):
+            acc = dd.cdd_add(acc, dd.cdd_mul(e[k], p[n - k]))
+        p.append(acc)
+    return complex(dd.cdd_collapse(p[m]))
 
 
 def _require_support(max_support):

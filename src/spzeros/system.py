@@ -262,12 +262,35 @@ def eval_f_batch(sys, z):
     return _eval_f_with_slope(sys, z)[0]
 
 
+_CDD_ZERO = (0.0, 0.0, 0.0, 0.0)
+_CDD_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def _series_powers(s, top, last):
+    """Rows n = 2 .. last of the truncated powers of a series s with s_0 = 0.
+
+    Row n holds [z^n] s^j at index j, for j = 2 .. top, in scalar complex
+    double-double (indices 0 and 1 hold zeros). As s_0 = 0,
+    [z^n] s^j = sum_k s_k [z^(n-k)] s^(j-1) reads s_1 .. s_(n-1) only, so s
+    may be the caller's growing list: a recursion appends s_n after taking
+    row n. The cost is O(top last^2) products.
+    """
+    rows = [None, None]
+    for n in range(2, last + 1):
+        row = [_CDD_ZERO] * (top + 1)
+        for j in range(2, min(n, top) + 1):
+            for k in range(1, n - j + 2):
+                lower = s[n - k] if j == 2 else rows[n - k][j - 1]
+                row[j] = dd.cdd_add(row[j], dd.cdd_mul(s[k], lower))
+        rows.append(row)
+        yield row
+
+
 def bell_polynomial(m, j, x):
     """Partial exponential Bell polynomial B_{m,j}(x_1, ..., x_{m-j+1}).
 
-    Direct enumeration of the index multisets: over all k_1, ..., k_{m-j+1}
-    with sum k_i = j and sum i k_i = m, add
-    m! / (k_1! ... k_r!) * prod (x_i / i!)^{k_i}.
+    B_{m,j} = m!/j! [t^m] s^j with s(t) = sum_i x_i t^i / i!, the power
+    taken by _series_powers.
     """
     if not (isinstance(m, int) and isinstance(j, int)):
         raise InvalidIndices("m and j must be integers")
@@ -276,49 +299,43 @@ def bell_polynomial(m, j, x):
     r = m - j + 1
     if len(x) < r:
         raise InvalidIndices(f"need at least {r} arguments, got {len(x)}")
-    xs = [complex(v) for v in x[:r]]
-    total = 0j
+    if j == 1:
+        return complex(x[m - 1])
+    # The coefficients past x_r do not reach [t^m] s^j: zeros stand in.
+    s = [_CDD_ZERO] + [dd.cdd_from(complex(v) / math.factorial(i))
+                       for i, v in enumerate(x[:r], start=1)]
+    s += [_CDD_ZERO] * (m - r)
+    *_, row = _series_powers(s, j, m)
+    return (complex(dd.cdd_collapse(row[j]))
+            * (math.factorial(m) // math.factorial(j)))
 
-    def descend(i, count_left, weight_left, partial):
-        nonlocal total
-        if i > r:
-            if count_left == 0 and weight_left == 0:
-                total += partial
-            return
-        step = xs[i - 1] / math.factorial(i)
-        k_max = min(count_left, weight_left // i)
-        term = partial
-        for k in range(k_max + 1):
-            if k > 0:
-                term = term * step / k
-            descend(i + 1, count_left - k, weight_left - i * k, term)
 
-    descend(1, j, m, 1.0 + 0j)
-    return total * math.factorial(m)
+def _taylor_series(sys, max_order):
+    """phi_0 .. phi_max_order of phi = f - b, in scalar complex double-double.
+
+    phi(az) = V(phi(z)) with phi_0 = 0 and phi_1 = f'(0) = 1 gives, comparing
+    the coefficients of z^n, (a^n - a) phi_n = sum_{j=2..d} V_j [z^n] phi^j.
+    """
+    V = [(c.real, 0.0, c.imag, 0.0) for c in map(complex, sys.V.coefficients)]
+    minus_a = dd.cdd_from(-sys.a)
+    phi = [_CDD_ZERO, _CDD_ONE]
+    for n, row in enumerate(_series_powers(phi, sys.d, max_order), start=2):
+        acc = _CDD_ZERO
+        for j in range(2, min(n, sys.d) + 1):
+            acc = dd.cdd_add(acc, dd.cdd_mul(V[j], row[j]))
+        gap = dd.cdd_add(dd.cdd_power(sys.a, n), minus_a)
+        phi.append(dd.cdd_mul(acc, dd.cdd_div_exact_by(1.0, gap)))
+    return phi
 
 
 def taylor_at_zero(sys, max_order):
     """Taylor coefficients of f at 0 through order max_order.
 
-    Uses the recursion obtained by differentiating f(az) = P(f(z)) at 0:
-    f''(0) = P''(b) / (a^2 - a), and for m >= 2
-
-        f^(m)(0) = (a^m - a)^-1 sum_{j=2}^{m} P^(j)(b) B_{m,j}(f'(0), ...).
+    values[0] = b and values[n] = phi_n for n >= 1, phi = f - b: the
+    double-double recursion of _taylor_series, rounded to complex.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    # P^(j)(b) for j = 0 .. d.
-    derivs_at_b = []
-    pj = sys.P
-    for _ in range(sys.d + 1):
-        derivs_at_b.append(pj.eval(sys.b))
-        pj = pj.derivative()
-
-    raw = [sys.b, 1.0 + 0j]
-    for m in range(2, max_order + 1):
-        acc = 0j
-        for j in range(2, min(m, sys.d) + 1):
-            acc += derivs_at_b[j] * bell_polynomial(m, j, raw[1:m - j + 2])
-        raw.append(acc / (sys.a ** m - sys.a))
-    values = tuple(raw[m] / math.factorial(m) for m in range(max_order + 1))
+    phi = _taylor_series(sys, max_order)
+    values = (sys.b,) + tuple(complex(dd.cdd_collapse(p)) for p in phi[1:])
     return TaylorCoefficients(values=values)

@@ -251,8 +251,8 @@ def test_wh_budget_beyond_double_range_is_infinite(capsys):
 @pytest.mark.parametrize("problem", [CHEB, GOLD], ids=["chebyshev2", "golden"])
 def test_wh_route_not_finite_fails_row(problem, capsys):
     # At z = -1e8 both product routes overflow to nan: the row's deviation
-    # is nan, which is not within any budget, and the overflow raises no
-    # numpy warning.
+    # is nan, so the row fails with one line that names those routes, and
+    # the overflow raises no numpy warning.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(
@@ -260,10 +260,39 @@ def test_wh_route_not_finite_fails_row(problem, capsys):
     assert code == 2
     assert caught == []
     assert err.splitlines() == [
-        "three-route deviation exceeded tail budget + 1.0e-06"]
+        "route not finite at z = -100000000,0: anchored, ladder"]
     _, rows = read_csv(out)
     assert len(rows) == 1
     assert rows[0][8] == "nan"
+
+
+def test_wh_failure_lines(monkeypatch, capsys):
+    # A row whose route is not finite names that route; a finite deviation
+    # over its budget keeps the budget line. Both fail the run.
+    from spzeros import cli
+    from spzeros.verify import CrossCheckReport, CrossCheckRow
+
+    rows = (CrossCheckRow(z=2 + 1j, direct=1j, product_anchored=1j,
+                          product_ladder=complex(math.nan, 0),
+                          max_deviation=math.nan, claimed_budget=1e-9),
+            CrossCheckRow(z=-1.5 + 0j, direct=1 + 0j,
+                          product_anchored=1.5 + 0j, product_ladder=1 + 0j,
+                          max_deviation=0.5, claimed_budget=1e-9))
+
+    def cross_check(sys_, samples, max_support, anchor, roundtrip):
+        return CrossCheckReport(rows=rows, roundtrips=(),
+                                worst_deviation=math.nan,
+                                worst_roundtrip=math.nan)
+
+    monkeypatch.setattr(cli, "cross_check", cross_check)
+    code, out, err = run_cli(
+        ["wh", CHEB, "--max-support", "2", "--z=2,1", "--z=-1.5,0"], capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        "route not finite at z = 2,1: ladder",
+        "three-route deviation exceeded tail budget + 1.0e-06"]
+    _, printed = read_csv(out)
+    assert [r[8] for r in printed] == ["nan", "0.5"]
 
 
 def test_wh_runs_no_roundtrip(monkeypatch, capsys):
@@ -454,8 +483,9 @@ def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
 def test_usage_error_exit_code(args, monkeypatch, capsys):
     # A usage error is bad input: one error line and exit 1, not argparse's
     # usage text and exit 2, the code of a numerical failure. It is found
-    # before any system is built: an order above MAX_MOMENT_ORDER would
-    # otherwise spend seconds or more on its closed form.
+    # before any system is built or swept: an order above MAX_MOMENT_ORDER
+    # is refused at no cost, though its closed form would take only some
+    # 20 ms.
     from spzeros import cli
 
     def no_system(spec):

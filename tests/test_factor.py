@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys as _sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,79 @@ def test_golden_momenta_values():
     assert abs(closed_form_momentum(sys, 1, 0j) - 1) <= 1e-14
     assert abs(closed_form_momentum(sys, 2, 0j) - (1 - 1 / SQRT5)) <= 1e-14
     assert abs(closed_form_momentum(sys, 3, 0j) - 0.4) <= 1e-14
+
+
+def _bernoulli(n):
+    """B_0 .. B_n as exact fractions, from sum_{i<=k} C(k+1, i) B_i = 0."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(math.comb(k + 1, i) * b[i] for i in range(k)) / (k + 1))
+    return b
+
+
+def test_closed_form_chebyshev_momenta_exact():
+    # At w = 0 the zeros of cos(sqrt(-2z)) are -((2k+1) pi)^2 / 8, so with
+    # c = w - b = -1 the momentum of order m is
+    # (8/pi^2)^m (1 - 4^-m) zeta(2m) = (1 - 4^-m) 32^m |B_2m| / (2 (2m)!),
+    # a rational number.
+    sys = chebyshev_system()
+    bern = _bernoulli(24)
+    for m in range(1, 13):
+        want = float((1 - Fraction(1, 4 ** m)) * 32 ** m * abs(bern[2 * m])
+                     / (2 * math.factorial(2 * m)))
+        got = closed_form_momentum(sys, m, 0j)
+        assert abs(got - want) <= 1e-15 * want, m
+
+
+def test_closed_form_cubic_second_momentum_exact():
+    # P = z^3 - 6, b = 2, a = 12: f''(0) = P''(b) / (a^2 - a) = 1/11, so
+    # p_2 = 1 - b f''(0) = 9/11 at w = 0, to the last bit.
+    assert closed_form_momentum(cubic_system(), 2, 0j) == 9 / 11
+
+
+def _bell_form_reference(sys, m, w, mpmath):
+    """The Bell-form identity for the order-m momentum, in mpmath.
+
+    f^(n)(0) = (a^n - a)^-1 sum_j j! V_j B_{n,j}(f'(0), ...), and the
+    momentum is sum_j (w - b)^(m-j) (j-1)!/(m-1)! B_{m,j}(f'(0), ...); the
+    partial Bell polynomials come from the recurrence
+    B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
+    """
+    def bell(x, n):
+        table = [[mpmath.mpc(0)] * (n + 1) for _ in range(n + 1)]
+        table[0][0] = mpmath.mpc(1)
+        for r in range(1, n + 1):
+            for k in range(1, r + 1):
+                table[r][k] = mpmath.fsum(
+                    math.comb(r - 1, i - 1) * x[i - 1] * table[r - i][k - 1]
+                    for i in range(1, r - k + 2) if i <= len(x))
+        return table[n]
+
+    a = mpmath.mpc(sys.a)
+    V = [mpmath.mpc(c) for c in sys.V.coefficients]
+    raw = [mpmath.mpc(1)]
+    for n in range(2, m + 1):
+        row = bell(raw, n)
+        raw.append(mpmath.fsum(math.factorial(j) * V[j] * row[j]
+                               for j in range(2, min(n, sys.d) + 1))
+                   / (a ** n - a))
+    row = bell(raw, m)
+    c = mpmath.mpc(w) - mpmath.mpc(sys.b)
+    return mpmath.fsum(c ** (m - j) * math.factorial(j - 1) * row[j]
+                       for j in range(1, m + 1)) / math.factorial(m - 1)
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_closed_form_quartic_against_bell_form(m):
+    # (-1+0.2i) + 0.3 z^2 + z^4 has a complex b and a; at w = -1+0.3i the
+    # Bell form loses digits to cancellation in double precision.
+    mpmath = pytest.importorskip("mpmath")
+    sys = build_system(ComplexPolynomial((-1 + 0.2j, 0, 0.3, 0, 1)), 1.5)
+    w = -1 + 0.3j
+    with mpmath.workdps(60):
+        want = complex(_bell_form_reference(sys, m, w, mpmath))
+    got = closed_form_momentum(sys, m, w)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_moment_sum_converges_to_closed_form_golden():

@@ -164,13 +164,14 @@ def test_taylor_second_derivative_closed_form():
 
 def test_taylor_chebyshev_full_series():
     # The degree-2 system P = 2z^2 - 1, b = 1 is solved by cos(sqrt(-2z)),
-    # whose series has m-th coefficient 2^m / (2m)!.
+    # whose series has m-th coefficient 2^m / (2m)!: within one unit in the
+    # last place of the exact fraction.
     sys = chebyshev_system()
-    tc = taylor_at_zero(sys, 8)
-    for m in range(9):
-        want = 2.0**m / math.factorial(2 * m)
+    tc = taylor_at_zero(sys, 24)
+    for m in range(25):
+        want = float(Fraction(2**m, math.factorial(2 * m)))
         got = tc.values[m]
-        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+        assert abs(got - want) <= 2.0**-52 * want, m
 
 
 def test_eval_f_direct_matches_cosine_oracle():

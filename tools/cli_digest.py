@@ -28,8 +28,10 @@ SHIPPED_RUNS adds runs made on one shipped problem only: golden's table
 at its fixed point b, whose ladder rungs scale by the irrational a = 2b,
 at depth 12 and at depth 17, where the w = b sweep spans two chunks of the
 sweep driver; golden's momenta of orders 1 to 3 at depth 17, two chunks;
-and golden's wh at depth 18, whose ladder sweep spans two chunks and whose
-anchored sweep spans four.
+golden's wh at depth 18, whose ladder sweep spans two chunks and whose
+anchored sweep spans four; and golden's momenta of orders 12, 24 and 32
+at depth 8, whose closed forms reach MAX_MOMENT_ORDER = 32, the largest
+order --m accepts.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -115,7 +117,9 @@ RUNS = (
 # rows from two sweep chunks. Golden's momenta at depth 17: 131,072
 # addresses, two sweep chunks, summed shell by shell for m = 1, 2, 3.
 # Golden's wh at depth 18 beyond a quarter of the smallest ladder base:
-# a ladder sweep of two chunks and an anchored sweep of four.
+# a ladder sweep of two chunks and an anchored sweep of four. Golden's
+# momenta at orders up to the bound on --m, whose closed form is the
+# series recursion at its longest.
 SHIPPED_RUNS = (
     ("golden.json", "invert", "--max-support", "12",
      "--w=1.618033988749895", "--verify"),
@@ -123,6 +127,7 @@ SHIPPED_RUNS = (
      "--w=1.618033988749895"),
     ("golden.json", "moments", "--max-support", "17", "--m", "1,2,3"),
     ("golden.json", "wh", "--max-support", "18", "--z=-40,3"),
+    ("golden.json", "moments", "--max-support", "8", "--m", "12,24,32"),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
