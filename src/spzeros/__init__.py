@@ -10,8 +10,8 @@ formulas, and verifies the momenta identities that the branch values satisfy.
 
 import os
 
-# No spzeros BLAS call is big enough to thread: parallelism is the sweep's own
-# chunk pool (SPZEROS_THREADS). Set before numpy loads; a caller's value wins.
+# No spzeros BLAS call is big enough to thread, and spzeros itself runs in
+# one thread. Set before numpy loads; a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .branches import (

@@ -66,13 +66,12 @@ sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 
 The sweeps' one driver, _sweep_leaves, only expands seeds and tails the
-leaves; sweep_products and sweep_solutions_at_b scale the rows by a^N
-themselves and each build one frozen, read-only BranchSweep.
+leaves, one fixed chunk of subtrees after another in a single thread;
+sweep_products and sweep_solutions_at_b scale the rows by a^N themselves
+and each build one frozen, read-only BranchSweep.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -84,7 +83,6 @@ from .errors import (
     InvalidIndices,
     NonConvergence,
     SPZerosError,
-    ValidationError,
     ZeroDenominator,
 )
 from .poly import roots_batch
@@ -109,8 +107,9 @@ HYPOTHESIS_ORBIT_CAP = 500
 # HYPOTHESIS_RADIUS, the same number on each.
 HYPOTHESIS_RADIUS = 10.0
 HYPOTHESIS_COUNT = 64
-# Batched sweeps expand the address tree in subtree chunks of at most this
-# many leaves; chunk boundaries are fixed so thread count cannot reorder work.
+# Batched sweeps expand and tail the address tree in subtree chunks of at
+# most this many leaves, which bounds the tail's working memory. Every leaf
+# is computed alone, so the chunk size moves no bit.
 CHUNK_LEAVES = 1 << 16
 # Greatest depth of tail_bound's probe sweep; less where d^depth > 50,000.
 TAIL_PROBE_SUPPORT = 6
@@ -188,28 +187,6 @@ def enumerate_sigma(d, max_support):
         for prefix in iter_product(range(d), repeat=support - 1):
             for last in range(1, d):
                 yield SigmaSequence(prefix + (last,))
-
-
-def thread_limit():
-    """Worker cap from SPZEROS_THREADS; hardware default when unset."""
-    raw = os.environ.get("SPZEROS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"SPZEROS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError("SPZEROS_THREADS must be >= 1")
-    return n
-
-
-def _run_ordered(fn, items, workers):
-    """Map fn over items, results in item order regardless of workers."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _first_branch(rel):
@@ -656,25 +633,21 @@ def _sweep_leaves(sys, seeds, levels):
     """Expand seed deviations `levels` more levels, then tail every leaf.
 
     Returns _tail_products' (tail, steps, tail_estimate, converged) of the
-    d^levels leaves of every seed, in padded-index order. Expansion is
-    serial until a seed's subtree fits CHUNK_LEAVES; fixed chunks of whole
-    subtrees then run on the SPZEROS_THREADS pool, whose size moves no bit.
+    d^levels leaves of every seed, in padded-index order. Seeds are
+    expanded whole until a seed's subtree fits CHUNK_LEAVES; fixed chunks
+    of whole subtrees are then expanded and tailed in turn.
     """
     v = seeds
     while levels > 0 and sys.d ** levels > CHUNK_LEAVES:
         v = _expand_level(sys, v)
         levels -= 1
     group = max(1, CHUNK_LEAVES // sys.d ** levels)
-    # The tail's series data, built once before the chunks share it.
-    _koenigs_data(sys)
-
-    def chunk(lo):
+    results = []
+    for lo in range(0, v.size, group):
         cv = v[lo:lo + group]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
-        return _tail_products(sys, cv, sys.n_cap)
-
-    results = _run_ordered(chunk, range(0, v.size, group), thread_limit())
+        results.append(_tail_products(sys, cv, sys.n_cap))
     return [np.concatenate(column) for column in zip(*results)]
 
 

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 bad input (a usage error, or a problem file that
 fails to parse or validate), 2 numeric failure (non-convergence, divergent
 moment, identity violation beyond its budget), 3 Hypothesis-1 probe failure.
 Output ordering is fixed by the padded address index (equivalently,
-digit-string lexicographic order), so byte-identical output does not depend
-on SPZEROS_THREADS.
+digit-string lexicographic order), and every sweep runs in one thread, so
+two runs on the same input print the same bytes.
 
 The tables of zeros and invert, one row per address, are written by one
 block writer, BLOCK_ROWS rows per write: every column of a block is a

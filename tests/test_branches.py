@@ -13,7 +13,6 @@ from spzeros import (
     NonConvergence,
     ProblemSpec,
     SigmaSequence,
-    ValidationError,
     branch_labels,
     build_system,
     check_hypothesis1,
@@ -37,7 +36,7 @@ from spzeros import (
     zero_product,
 )
 from spzeros import branches, cli, factor, system
-from spzeros.branches import labels_batch, thread_limit
+from spzeros.branches import labels_batch
 from spzeros.system import unicritical_point
 from spzeros.verify import chebyshev_system, cubic_system, golden_system
 
@@ -461,44 +460,52 @@ def test_growth_floor_positive_and_stable():
         assert max(vals) / min(vals) < 10
 
 
-def test_thread_limit_env(monkeypatch):
-    monkeypatch.setenv("SPZEROS_THREADS", "3")
-    assert thread_limit() == 3
-    monkeypatch.setenv("SPZEROS_THREADS", "zebra")
-    with pytest.raises(ValidationError):
-        thread_limit()
-    monkeypatch.setenv("SPZEROS_THREADS", "0")
-    with pytest.raises(ValidationError):
-        thread_limit()
-    monkeypatch.delenv("SPZEROS_THREADS")
-    assert thread_limit() >= 1
+def _same_bits(one, two):
+    for name in ("values", "terms_used", "tail_estimate", "converged"):
+        assert np.array_equal(getattr(one, name).view(np.uint8),
+                              getattr(two, name).view(np.uint8)), name
 
 
-def test_sweep_independent_of_thread_count(monkeypatch):
-    sys = cubic_system()
-    monkeypatch.setenv("SPZEROS_THREADS", "1")
-    one = sweep_products(sys, 0j, 4)
-    monkeypatch.setenv("SPZEROS_THREADS", "4")
-    four = sweep_products(sys, 0j, 4)
-    assert np.array_equal(one.values, four.values)
-    assert np.array_equal(one.terms_used, four.terms_used)
+def _in_chunks(monkeypatch, leaves, run):
+    """run() with the sweeps' chunks set to `leaves` leaves."""
+    with monkeypatch.context() as m:
+        m.setattr(branches, "CHUNK_LEAVES", leaves)
+        return run()
+
+
+def test_sweep_independent_of_chunk_size(monkeypatch):
     # Golden's anchored and w = b sweeps at depth 17 and its ladder sweep
-    # at depth 18 span two chunks each: the pool runs them on two threads
-    # with the same bits as one thread runs them in turn.
-    sys = golden_system()
-    runs = (lambda: sweep_products(sys, -2 + 0.5j, 17),
-            lambda: sweep_products(sys, sys.b, 17),
-            lambda: sweep_solutions_at_b(sys, 18))
+    # at depth 18 span two default chunks each, cubic's at depth 11 three.
+    # Chunks of 2^12 leaves split them further and chunks of 2^20 hold each
+    # whole, with the same bits.
+    golden, cubic = golden_system(), cubic_system()
+    runs = (lambda: sweep_products(golden, -2 + 0.5j, 17),
+            lambda: sweep_products(golden, golden.b, 17),
+            lambda: sweep_solutions_at_b(golden, 18),
+            lambda: sweep_products(cubic, 0j, 11))
     for run in runs:
-        sweeps = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SPZEROS_THREADS", threads)
-            sweeps.append(run())
-        one, two = sweeps
-        assert one.values.size == 2 * branches.CHUNK_LEAVES
-        for name in ("values", "terms_used", "tail_estimate", "converged"):
-            assert np.array_equal(getattr(one, name).view(np.uint8),
-                                  getattr(two, name).view(np.uint8)), name
+        default = run()
+        assert default.values.size > branches.CHUNK_LEAVES
+        for leaves in (1 << 12, 1 << 20):
+            _same_bits(_in_chunks(monkeypatch, leaves, run), default)
+
+
+def test_general_sweep_independent_of_chunk_size(monkeypatch):
+    # The root-solver route in chunks far smaller than its sweeps: Chebyshev
+    # at depth 10 in 16 chunks of 2^6 leaves, whose rows are still its exact
+    # zeros -((2k+1) pi)^2 / 8, one k each, and the quartic at depth 7 in 16
+    # chunks of 2^10.
+    sys = _general(chebyshev_system())
+    run = lambda: sweep_products(sys, 0j, 10)
+    default = run()
+    _same_bits(_in_chunks(monkeypatch, 1 << 6, run), default)
+    k = np.rint((np.sqrt(-8 * default.values.real) / np.pi - 1) / 2)
+    want = -((2 * k + 1) * np.pi) ** 2 / 8
+    assert np.unique(k).size == default.values.size == 2 ** 10
+    assert np.max(np.abs(default.values - want) / np.abs(want)) <= 1e-12
+    quartic = system_from_spec(QUARTIC)
+    run = lambda: sweep_products(quartic, 0j, 7)
+    _same_bits(_in_chunks(monkeypatch, 1 << 10, run), run())
 
 
 def test_eval_agrees_with_product_zero():

@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import math
-import os
 import shutil
 import struct
 import subprocess
@@ -611,21 +610,6 @@ def test_zeros_converged_column(tmp_path, capsys):
     _, full = read_csv(out)
     assert capped == [int(r[3]) > n_cap + 8 for r in full]
     assert sum(capped) == 165
-
-
-def _run_subprocess(args, threads):
-    env = dict(os.environ, SPZEROS_THREADS=str(threads))
-    return subprocess.run([sys.executable, "-m", "spzeros", *args],
-                          capture_output=True, env=env, cwd=str(ROOT))
-
-
-def test_zeros_bytes_identical_across_thread_counts():
-    runs = [_run_subprocess(["zeros", GOLD, "--max-support", "6"], t)
-            for t in (1, 4)]
-    for r in runs:
-        assert r.returncode == 0, r.stderr
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.count(b"\n") == 1 + 2**6
 
 
 @pytest.mark.skipif(shutil.which("spzeros") is None,

@@ -1,11 +1,7 @@
 """Momenta identities and the genus-zero product evaluation of f."""
 
 import math
-import os
-import subprocess
-import sys as _sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +32,6 @@ from spzeros.verify import (
     golden_system,
     oracle_chebyshev,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 SQRT5 = math.sqrt(5)
 
@@ -295,19 +289,6 @@ def test_ladder_sum_matches_explicit_rungs():
                 k += 1
             got = wh_eval(sys, z, sys.b, depth).product_value
             assert abs(got - (sys.b + z * total)) <= 1e-12 * abs(z * total)
-
-
-def test_wh_bytes_identical_across_thread_counts():
-    args = [_sys.executable, "-m", "spzeros", "wh", "problems/chebyshev2.json",
-            "--max-support", "10", "--z=2,-1", "--z=-40,3", "--z=-2000,500"]
-    outs = []
-    for threads in (1, 2):
-        env = dict(os.environ, SPZEROS_THREADS=str(threads))
-        r = subprocess.run(args, capture_output=True, env=env, cwd=str(ROOT))
-        assert r.returncode == 0, r.stderr
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
-    assert outs[0].count(b"\n") == 4
 
 
 def test_wh_eval_at_zero_is_b():

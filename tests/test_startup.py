@@ -1,4 +1,5 @@
-"""Start-up: importing spzeros starts no OpenBLAS worker pool.
+"""Start-up: importing spzeros starts no OpenBLAS worker pool, and a sweep
+loads no thread pool of its own.
 
 OpenBLAS reads its thread count once, when numpy loads, so each check runs
 in a fresh interpreter.
@@ -52,6 +53,23 @@ def test_import_starts_no_blas_worker():
 def test_caller_blas_thread_count_wins():
     _, value = _import_in_fresh_process(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
+
+
+def test_sweep_of_two_chunks_loads_no_pool():
+    # Golden's momenta at depth 17 sweep 131,072 addresses in two chunks,
+    # which _sweep_leaves runs in turn. numpy itself imports threading, so
+    # the check is on the modules a pool would bring.
+    code = ("import os, sys; from spzeros import cli; "
+            "code = cli.main(['moments', 'problems/golden.json', "
+            "'--max-support', '17', '--m', '1', '-o', os.devnull]); "
+            "print(code, sorted({'concurrent.futures', 'logging'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, cwd=str(ROOT), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 []\n"
 
 
 # Attribute and import names that reach threaded BLAS through numpy: the

@@ -1,10 +1,10 @@
 """Digest of the command-line tool's output on the shipped problems.
 
 Runs each subcommand on every problems/*.json at fixed small depths, once
-with SPZEROS_THREADS=1 and once with 2, each run in a fresh interpreter
-against this checkout's src/. Prints one line per run:
+each, in a fresh interpreter against this checkout's src/. Prints one line
+per run:
 
-    threads=<n> <arguments> exit=<code> stderr_lines=<n> sha256=<stdout's>
+    <arguments> exit=<code> stderr_lines=<n> sha256=<stdout's>
         stderr_sha256=<stderr's>
 
 (on one line). Two checkouts whose digests are equal print the same bytes
@@ -184,8 +184,7 @@ def _digest(env, argv, shown):
         [sys.executable, "-m", "spzeros", *argv], cwd=ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False)
     stderr = proc.stderr.replace(str(ROOT).encode(), b"ROOT")
-    print(f"threads={env['SPZEROS_THREADS']} {' '.join(shown)} "
-          f"exit={proc.returncode} "
+    print(f"{' '.join(shown)} exit={proc.returncode} "
           f"stderr_lines={len(proc.stderr.splitlines())} "
           f"sha256={hashlib.sha256(proc.stdout).hexdigest()} "
           f"stderr_sha256={hashlib.sha256(stderr).hexdigest()}", flush=True)
@@ -199,23 +198,20 @@ def main():
             path = Path(tmp) / name
             path.write_text(json.dumps(problem))
             paths[name] = str(path)
-        for threads in ("1", "2"):
-            env = dict(os.environ, SPZEROS_THREADS=threads,
-                       PYTHONPATH=str(ROOT / "src"))
-            for command, *rest in RUNS:
-                for problem in problems:
-                    argv = [command, str(problem.relative_to(ROOT)), *rest]
-                    _digest(env, argv, argv)
-            for name, command, *rest in SHIPPED_RUNS:
-                argv = [command, f"problems/{name}", *rest]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for command, *rest in RUNS:
+            for problem in problems:
+                argv = [command, str(problem.relative_to(ROOT)), *rest]
                 _digest(env, argv, argv)
-            for runs, entries in ((GENERAL_RUNS, GENERAL),
-                                  (WIDE_RUNS, (WIDE,))):
-                for command, *rest in runs:
-                    for name, _, b in entries:
-                        rest_b = [arg.format(b=b) for arg in rest]
-                        _digest(env, [command, paths[name], *rest_b],
-                                [command, name, *rest_b])
+        for name, command, *rest in SHIPPED_RUNS:
+            argv = [command, f"problems/{name}", *rest]
+            _digest(env, argv, argv)
+        for runs, entries in ((GENERAL_RUNS, GENERAL), (WIDE_RUNS, (WIDE,))):
+            for command, *rest in runs:
+                for name, _, b in entries:
+                    rest_b = [arg.format(b=b) for arg in rest]
+                    _digest(env, [command, paths[name], *rest_b],
+                            [command, name, *rest_b])
 
 
 if __name__ == "__main__":
