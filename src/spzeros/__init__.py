@@ -54,6 +54,7 @@ from .factor import (
     WHEvaluation,
     closed_form_momentum,
     moment_sum,
+    moment_sums,
     vieta_sums,
     wh_eval,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "inverse_branch",
     "load_problem",
     "moment_sum",
+    "moment_sums",
     "oracle_chebyshev",
     "parse_problem",
     "principal_branch",

@@ -65,10 +65,12 @@ delta/4 and delta. Every product reads its truncation settings,
 sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 
-The sweeps' one driver, _sweep_leaves, only expands seeds and tails the
-leaves, one fixed chunk of subtrees after another in a single thread;
-sweep_products and sweep_solutions_at_b scale the rows by a^N themselves
-and each build one frozen, read-only BranchSweep.
+The sweeps' one driver, _leaf_chunks, only expands seeds and tails the
+leaves, yielding one fixed chunk of subtrees after another in a single
+thread; _sweep_leaves joins the chunks, and sweep_products and
+sweep_solutions_at_b scale the rows by a^N themselves and each build one
+frozen, read-only BranchSweep. The momentum sums reduce the chunks as they
+come instead (factor.moment_sums).
 """
 
 import math
@@ -108,9 +110,12 @@ HYPOTHESIS_ORBIT_CAP = 500
 HYPOTHESIS_RADIUS = 10.0
 HYPOTHESIS_COUNT = 64
 # Batched sweeps expand and tail the address tree in subtree chunks of at
-# most this many leaves, which bounds the tail's working memory. Every leaf
-# is computed alone, so the chunk size moves no bit.
-CHUNK_LEAVES = 1 << 16
+# most this many leaves, which bounds the tail's working memory (about
+# 150 B per leaf) and that of the momentum sums reduced inside each chunk.
+# Golden's depth-18 moments of orders 1 to 3 peaked at 33, 36, 41 and 51 MB
+# of RSS in chunks of 2^13 to 2^16 leaves, with the least CPU at 2^14.
+# Every leaf is computed alone, so the chunk size moves no bit.
+CHUNK_LEAVES = 1 << 14
 # Greatest depth of tail_bound's probe sweep; less where d^depth > 50,000.
 TAIL_PROBE_SUPPORT = 6
 
@@ -597,16 +602,31 @@ class BranchSweep:
 
     def shells(self, x):
         """Yield (s, view of the rows of x with support s), s = 0 .. depth,
-        in index order. Shell s >= 1 is the indices m d^(depth-s), d not
-        dividing m: a stride in rows of d less their first column, or all
-        of it if it starts at such an m."""
+        in index order, for rows at indices [offset, offset + len(x)) from
+        any offset.
+
+        Index 0 alone has support 0. Support s >= 1 holds the indices
+        m d^(depth-s) with d not dividing m: the stride d^(depth-s) over x,
+        in runs of d from each m that d divides, less the first of each
+        run. A run that the range cuts comes as a view of its own, so a
+        shell comes in up to three views (the cut runs at either end around
+        the whole ones), and a shell with no row in the range as one empty
+        view.
+        """
         yield 0, x[:0 if self.offset else 1]
+        d = self.d
         for s in range(1, self.depth + 1):
-            step = self.d ** (self.depth - s)
-            rows = x[::step]
-            if self.offset // step % self.d == 0:
-                rows = rows.reshape(-1, self.d)[:, 1:]
-            yield s, rows
+            step = d ** (self.depth - s)
+            first = -self.offset % step
+            rows = x[first::step]
+            head = -(self.offset + first) // step % d
+            runs = max(len(rows) - head, 0) // d * d
+            pieces = [rows[:head],
+                      rows[head:head + runs].reshape(-1, d)[:, 1:],
+                      rows[head + runs + 1:]]
+            pieces = [p for p in pieces if p.size] or pieces[1:2]
+            for rows in pieces:
+                yield s, rows
 
     @property
     def support(self):
@@ -629,26 +649,32 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _sweep_leaves(sys, seeds, levels):
-    """Expand seed deviations `levels` more levels, then tail every leaf.
+def _leaf_chunks(sys, seeds, levels):
+    """Expand seed deviations `levels` more levels and tail every leaf, one
+    fixed chunk of whole subtrees at a time.
 
-    Returns _tail_products' (tail, steps, tail_estimate, converged) of the
-    d^levels leaves of every seed, in padded-index order. Seeds are
-    expanded whole until a seed's subtree fits CHUNK_LEAVES; fixed chunks
-    of whole subtrees are then expanded and tailed in turn.
+    Yields (start, tail, steps, tail_estimate, converged) per chunk, in
+    padded-index order: start counts the chunk's first leaf from the first
+    leaf of the first seed, and the four arrays are _tail_products' of its
+    leaves. Seeds are expanded whole until a seed's subtree fits
+    CHUNK_LEAVES; the chunks then hold as many whole subtrees as fit.
     """
     v = seeds
     while levels > 0 and sys.d ** levels > CHUNK_LEAVES:
         v = _expand_level(sys, v)
         levels -= 1
     group = max(1, CHUNK_LEAVES // sys.d ** levels)
-    results = []
     for lo in range(0, v.size, group):
         cv = v[lo:lo + group]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
-        results.append(_tail_products(sys, cv, sys.n_cap))
-    return [np.concatenate(column) for column in zip(*results)]
+        yield (lo * sys.d ** levels, *_tail_products(sys, cv, sys.n_cap))
+
+
+def _sweep_leaves(sys, seeds, levels):
+    """_leaf_chunks' four arrays, each concatenated over the chunks."""
+    chunks = [chunk[1:] for chunk in _leaf_chunks(sys, seeds, levels)]
+    return [np.concatenate(column) for column in zip(*chunks)]
 
 
 def sweep_products(sys, w, max_support):
@@ -812,13 +838,27 @@ def check_hypothesis1(sys):
     )
 
 
+def _shell_minima(sweep):
+    """Least |value| of each support shell of a sweep, inf where it has no
+    row; a nan value makes its shell's nan."""
+    least = np.full(sweep.depth + 1, np.inf)
+    for s, rows in sweep.shells(sweep.values):
+        if rows.size:
+            least[s] = np.minimum(least[s], np.abs(rows).min())
+    return least
+
+
+def _floor_of_minima(least, a_abs):
+    """min over supports s >= 1 of least[s] |a|^-s (_shell_minima)."""
+    scale = a_abs ** -np.arange(least.size, dtype=np.float64)
+    return float(np.min(least[1:] * scale[1:]))
+
+
 def growth_floor(sweep, a_abs):
     """Empirical growth-floor constant: min |value| |a|^-support, support >= 1."""
     if sweep.depth < 1:
         raise ValueError("sweep holds no address with support >= 1")
-    scale = a_abs ** -np.arange(sweep.depth + 1, dtype=np.float64)
-    return float(np.min([np.abs(rows).min() * scale[s]
-                         for s, rows in sweep.shells(sweep.values) if s]))
+    return _floor_of_minima(_shell_minima(sweep), a_abs)
 
 
 def geometric_tail(c_est, d, a_abs, start_support, m):

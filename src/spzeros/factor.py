@@ -18,6 +18,10 @@ from . import dd
 from .branches import (
     UNIT_ROUNDOFF,
     W_NEAR_B,
+    BranchSweep,
+    _floor_of_minima,
+    _leaf_chunks,
+    _shell_minima,
     geometric_tail,
     growth_floor,
     relative_error,
@@ -25,6 +29,7 @@ from .branches import (
     sweep_solutions_at_b,
 )
 from .errors import DivergentMoment, OrderTooLarge, ValidationError
+from .exactsum import ExactSums
 from .system import _taylor_series
 
 # Number of trailing shell ratios whose drift from d/a^m sizes the error of
@@ -161,6 +166,18 @@ def _pairwise_product(values):
     return complex(x[0])
 
 
+def _factor_product(z, values):
+    """_pairwise_product of the factors 1 - z / values, formed in place.
+
+    One temporary of the size of values per call instead of two: with the
+    sweep in 2^14-leaf chunks, the second raised the CPU of a fresh
+    process's 32-point wh on Chebyshev at depth 15 by about a fifth.
+    """
+    x = z / values
+    np.subtract(1.0, x, out=x)
+    return _pairwise_product(x)
+
+
 def closed_form_momentum(sys, m, w):
     """Right-hand side of the order-m momentum identity at anchor w.
 
@@ -199,54 +216,86 @@ def _require_support(max_support):
             f"tail bounds need max_support >= 1, got {max_support}")
 
 
-def moment_sum(sys, m, w, max_support):
-    """Momentum sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support.
-
-    Shell sums, over the views of BranchSweep.shells, are exactly rounded
-    (compensated) and accumulated in ascending support order. Requires
-    w != b, absolute convergence d |a|^-m < 1 and max_support >= 1.
-    """
+def _check_order(sys, m, w, max_support):
+    """Refuse a momentum of order m at anchor w: m >= 1, w != b, absolute
+    convergence d |a|^-m < 1 and max_support >= 1."""
     if m < 1:
         raise ValueError("momentum order must be >= 1")
-    w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         raise ValidationError(
             f"momenta need an anchor away from the fixed point b = {sys.b}")
-    a_abs = abs(sys.a)
-    q = sys.d * a_abs ** (-m)
+    q = sys.d * abs(sys.a) ** (-m)
     if q >= 1.0:
         raise DivergentMoment(
             f"d |a|^-m = {q:.6f} >= 1: momentum of order {m} diverges"
         )
     _require_support(max_support)
-    sweep = _anchor_sweep(sys, w, max_support)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (w - sys.b) / sweep.values
-        terms **= m
-    if not np.all(np.isfinite(terms)):
-        raise ValidationError(
-            f"momentum terms of order {m} overflow at anchor w = {w}")
-    # A relative error e in g_sigma moves its term by about m e |term|.
-    noise = np.abs(terms)
-    noise *= m
-    noise *= relative_error(sweep.tail_estimate, sweep.terms_used)
+
+
+def moment_sums(sys, orders, w, max_support):
+    """Momenta sum_sigma ((w - b) / g_sigma(w))^m over support <= max_support,
+    one MomentReport per order m in `orders`, from one pass over the sweep.
+
+    Every order is checked first (_check_order). The sweep is never held:
+    each chunk of _leaf_chunks is scaled by a^N and reduced as it comes,
+    through the views of BranchSweep.shells at its offset. Per order and
+    shell the terms and their noise go into exact sums (ExactSums), and per
+    shell the least |g_sigma| into the growth floor. So every shell sum is
+    exactly rounded, whatever the chunks, and the shells accumulate in
+    ascending support order.
+    """
+    w = complex(w)
+    orders = tuple(orders)
+    for m in orders:
+        _check_order(sys, m, w, max_support)
+    N = max_support
+    shells = N + 1
+    term_sums = [ExactSums(2 * shells) for _ in orders]
+    noise_sums = [ExactSums(shells) for _ in orders]
+    least = np.full(shells, np.inf)
+    seeds = np.array([w - sys.b], dtype=np.complex128)
+    for start, values, steps, est, conv in _leaf_chunks(sys, seeds, N):
+        np.multiply(sys.a ** N, values, out=values)  # scalar left, as sweeps
+        steps += N
+        chunk = BranchSweep(depth=N, d=sys.d, anchor=w, offset=start,
+                            values=values, terms_used=steps,
+                            tail_estimate=est, converged=conv)
+        support = chunk.support.astype(np.intp)
+        parts = (2 * support[:, None] + np.arange(2)).ravel()
+        rel = relative_error(est, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = (w - sys.b) / values
+        for m, term_sum, noise_sum in zip(orders, term_sums, noise_sums):
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = base ** m
+            if not np.all(np.isfinite(terms)):
+                raise ValidationError(
+                    f"momentum terms of order {m} overflow at anchor w = {w}")
+            term_sum.add(parts, terms.view(np.float64))
+            # A relative error e in g_sigma moves its term by about m e |term|.
+            noise = np.abs(terms)
+            noise *= m
+            noise *= rel
+            noise_sum.add(support, noise)
+        np.minimum(least, _shell_minima(chunk), out=least)
+    c_est = _floor_of_minima(least, abs(sys.a))
+    return [_moment_report(sys, m, w, N, c_est, term_sum.sums(),
+                           noise_sum.sums())
+            for m, term_sum, noise_sum in zip(orders, term_sums, noise_sums)]
+
+
+def _moment_report(sys, m, w, N, c_est, parts, shell_noise):
+    """MomentReport of order m from the exact shell sums: parts holds the
+    real and imaginary part of each shell, shell_noise its noise."""
     running = 0j
     shells = []
     shell_sums = []
-    shell_noise = []
-    for (support, rows), (_, err) in zip(sweep.shells(terms),
-                                         sweep.shells(noise)):
-        shell_sums.append(_complex_sum(rows))
+    for support in range(N + 1):
+        shell_sums.append(complex(parts[2 * support], parts[2 * support + 1]))
         running = running + shell_sums[-1]
         shells.append((support, running))
-        # The noise is only an error estimate, so a plain sum will do.
-        shell_noise.append(float(err.sum()))
-    # Freed before the floor, measured once per sweep, makes temporaries of
-    # its own: on the first order they would otherwise set the peak memory.
-    del terms, noise
-    c_est = _anchor_floor(sys, w, max_support)
     bound = (abs(w - sys.b) ** m
-             * geometric_tail(c_est, sys.d, a_abs, max_support + 1, m))
+             * geometric_tail(c_est, sys.d, abs(sys.a), N + 1, m))
     remainder, error = _geometric_completion(
         shell_sums, shell_noise, sys.d * sys.a ** (-m), bound)
     return MomentReport(order_m=m, w=w, computed_sum=running,
@@ -254,6 +303,11 @@ def moment_sum(sys, m, w, max_support):
                         shells=tuple(shells), tail_bound=bound,
                         extrapolated_sum=running + remainder,
                         extrapolation_error=error)
+
+
+def moment_sum(sys, m, w, max_support):
+    """The MomentReport of order m alone (moment_sums)."""
+    return moment_sums(sys, (m,), w, max_support)[0]
 
 
 def _geometric_completion(shell_sums, shell_noise, r, tail_bound):
@@ -363,7 +417,7 @@ def wh_eval(sys, z, w_anchor, max_support):
         scaled = z
         rungs = 0
         while abs(scaled) > FAR_RATIO * ladder.g_min:
-            total *= _pairwise_product(1.0 - scaled / bases)
+            total *= _factor_product(scaled, bases)
             scaled /= sys.a
             rungs += 1
         log_far = 0j
@@ -385,7 +439,7 @@ def wh_eval(sys, z, w_anchor, max_support):
                             tail_bound=bound)
 
     sweep = _anchor_sweep(sys, w, max_support)
-    prod = _pairwise_product(1.0 - z / sweep.values)
+    prod = _factor_product(z, sweep.values)
     log_excess = abs(z) * geometric_tail(_anchor_floor(sys, w, max_support),
                                          sys.d, a_abs, max_support + 1, 1)
     bound = _log_budget(abs(sys.b - w) * abs(prod), log_excess)

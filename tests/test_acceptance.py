@@ -7,7 +7,6 @@ lines. The suite is deterministic: every random draw is seeded.
 
 import dataclasses
 import math
-import os
 import subprocess
 import sys
 import time
@@ -20,7 +19,7 @@ from spzeros import (
     cross_check,
     eval_f_batch,
     eval_f_direct,
-    moment_sum,
+    moment_sums,
     oracle_chebyshev,
     sweep_products,
     taylor_at_zero,
@@ -63,10 +62,8 @@ def test_criterion_02_golden_momenta_depth_twenty():
     t0 = time.perf_counter()
     closed = {1: 1.0, 2: 1 - 1 / math.sqrt(5), 3: 0.4}
     errs, bounds = {}, {}
-    reports = {}
-    for m in (1, 2, 3):
-        rep = moment_sum(sys, m, 0j, 20)
-        reports[m] = rep
+    reports = dict(zip((1, 2, 3), moment_sums(sys, (1, 2, 3), 0j, 20)))
+    for m, rep in reports.items():
         errs[m] = abs(rep.computed_sum - closed[m])
         bounds[m] = rep.tail_bound
     value_ok = all(errs[m] <= bounds[m] + 1e-8 for m in (1, 2, 3))
@@ -93,7 +90,7 @@ def test_criterion_03_cubic_momenta_depth_ten():
     sys = cubic_system()
     t0 = time.perf_counter()
     closed = {1: 1.0, 2: 9 / 11}
-    reps = {m: moment_sum(sys, m, 0j, 10) for m in (1, 2)}
+    reps = dict(zip((1, 2), moment_sums(sys, (1, 2), 0j, 10)))
     elapsed = time.perf_counter() - t0
     raw = {m: abs(reps[m].computed_sum - closed[m]) for m in (1, 2)}
     ext = {m: abs(reps[m].extrapolated_sum - closed[m]) for m in (1, 2)}
@@ -210,19 +207,24 @@ def test_criterion_09_taylor_second_derivative():
     _report(9, ok, "; ".join(details) + " (<=1e-5 rel)")
 
 
-def test_criterion_10_byte_identical_across_threads():
+def test_criterion_10_byte_identical_across_processes():
+    # Two fresh interpreters print the same bytes: golden's 1,024 zeros at
+    # depth 10, and its momenta of orders 1 to 3 at depth 16 (3 x 17 rows),
+    # which the sweep driver reduces in four chunks.
     problem = str(ROOT / "problems" / "golden.json")
-    outputs = []
-    for threads in (1, 4):
-        env = dict(os.environ, SPZEROS_THREADS=str(threads))
-        r = subprocess.run(
-            [sys.executable, "-m", "spzeros", "zeros", problem,
-             "--max-support", "10"],
-            capture_output=True, env=env, cwd=str(ROOT))
-        assert r.returncode == 0, r.stderr
-        outputs.append(r.stdout)
-    identical = outputs[0] == outputs[1]
-    rows = outputs[0].count(b"\n") - 1
-    ok = identical and rows == 1024
-    _report(10, ok, f"SPZEROS_THREADS 1 vs 4: byte-identical={identical}, "
-                    f"{rows} rows")
+    runs = {("zeros", "--max-support", "10"): 1024,
+            ("moments", "--max-support", "16", "--m", "1,2,3"): 51}
+    ok, details = True, []
+    for (command, *rest), want_rows in runs.items():
+        outputs = []
+        for _ in range(2):
+            r = subprocess.run(
+                [sys.executable, "-m", "spzeros", command, problem, *rest],
+                capture_output=True, cwd=str(ROOT))
+            assert r.returncode == 0, r.stderr
+            outputs.append(r.stdout)
+        identical = outputs[0] == outputs[1]
+        rows = outputs[0].count(b"\n") - 1
+        ok = ok and identical and rows == want_rows
+        details.append(f"{command}: byte-identical={identical}, {rows} rows")
+    _report(10, ok, "two fresh processes, " + "; ".join(details))

@@ -249,6 +249,55 @@ def test_supports_match_digit_addresses():
     assert "support" not in {f.name for f in dataclasses.fields(sweep)}
 
 
+def _support_by_valuation(j, d, depth):
+    """Support of padded index j: depth less the power of d dividing j,
+    and 0 for j = 0."""
+    if j == 0:
+        return 0
+    zeros = 0
+    while j % d == 0:
+        j //= d
+        zeros += 1
+    return depth - zeros
+
+
+@pytest.mark.parametrize("d, depth", [(2, 8), (3, 5), (11, 3)])
+def test_shells_at_any_offset_match_valuation(d, depth):
+    # Index ranges from any offset, as the chunks of a sweep hold them: the
+    # views cover each index once, under the support its d-adic valuation
+    # gives, in index order, and a shell comes in at most three views.
+    rng = np.random.default_rng(d)
+    total = d ** depth
+    ranges = [(0, total), (0, 1), (1, total - 1), (total - 1, 1),
+              (total // d, total - total // d), (d, 0)]
+    for _ in range(60):
+        offset = int(rng.integers(0, total))
+        ranges.append((offset, int(rng.integers(0, total - offset + 1))))
+    for offset, size in ranges:
+        idx = np.arange(offset, offset + size, dtype=np.int64)
+        chunk = branches.BranchSweep(
+            depth=depth, d=d, anchor=0j, offset=offset,
+            values=np.zeros(size, dtype=np.complex128),
+            terms_used=np.zeros(size, dtype=np.int64),
+            tail_estimate=np.zeros(size), converged=np.ones(size, bool))
+        views = list(chunk.shells(idx))
+        supports = [s for s, _ in views]
+        assert sorted(set(supports)) == list(range(depth + 1))
+        assert supports == sorted(supports)
+        assert max(supports.count(s) for s in supports) <= 3
+        seen = []
+        for s, rows in views:
+            assert rows.size == 0 or np.shares_memory(rows, idx)
+            got = rows.ravel().tolist()
+            assert all(_support_by_valuation(j, d, depth) == s for j in got)
+            seen += got
+        assert seen == sorted(seen, key=lambda j: (
+            _support_by_valuation(j, d, depth), j))
+        assert sorted(seen) == idx.tolist(), (offset, size)
+        assert chunk.support.tolist() == [
+            _support_by_valuation(j, d, depth) for j in idx.tolist()]
+
+
 def _floor_by_masks(sweep, a_abs):
     """growth_floor by masks over the support of every row: min |value|
     |a|^-support over support >= 1. Supports are depth minus the trailing
@@ -279,7 +328,7 @@ def test_growth_floor_matches_masked_reference(make, top):
 
 
 def test_growth_floor_matches_masked_reference_over_chunks():
-    # Golden at depth 18: four chunks of the sweep driver.
+    # Golden at depth 18: sixteen chunks of the sweep driver.
     sys = golden_system()
     sweep = sweep_products(sys, 0j, 18)
     assert growth_floor(sweep, abs(sys.a)) == _floor_by_masks(sweep,
@@ -475,9 +524,9 @@ def _in_chunks(monkeypatch, leaves, run):
 
 def test_sweep_independent_of_chunk_size(monkeypatch):
     # Golden's anchored and w = b sweeps at depth 17 and its ladder sweep
-    # at depth 18 span two default chunks each, cubic's at depth 11 three.
-    # Chunks of 2^12 leaves split them further and chunks of 2^20 hold each
-    # whole, with the same bits.
+    # at depth 18 span eight default chunks each, cubic's at depth 11
+    # fourteen. Chunks of 2^12 leaves split them further and chunks of 2^20
+    # hold each whole, with the same bits.
     golden, cubic = golden_system(), cubic_system()
     runs = (lambda: sweep_products(golden, -2 + 0.5j, 17),
             lambda: sweep_products(golden, golden.b, 17),
@@ -488,6 +537,25 @@ def test_sweep_independent_of_chunk_size(monkeypatch):
         assert default.values.size > branches.CHUNK_LEAVES
         for leaves in (1 << 12, 1 << 20):
             _same_bits(_in_chunks(monkeypatch, leaves, run), default)
+
+
+def test_leaf_chunks_start_where_the_last_ended(monkeypatch):
+    # Each chunk's start is the count of leaves before it, and the chunks
+    # hold every leaf of every seed. In chunks of 2^11 leaves, cubic's hold
+    # two 3^6-leaf subtrees, so their starts are off the powers of 3, and
+    # the ladder seeds of golden (one, the digit-1 child of b) 2^11 leaves.
+    cubic, golden = cubic_system(), golden_system()
+    zero = np.zeros(1, dtype=np.complex128)
+    cases = ((cubic, zero - cubic.b, 9, 2 * 3 ** 6),
+             (golden, branches._expand_level(golden, zero)[1:], 12, 1 << 11))
+    for sys, seeds, levels, size in cases:
+        chunks = _in_chunks(monkeypatch, 1 << 11, lambda: [
+            (start, tail.size) for start, tail, *_ in
+            branches._leaf_chunks(sys, seeds, levels)])
+        total = seeds.size * sys.d ** levels
+        assert [start for start, _ in chunks] == list(range(0, total, size))
+        assert [n for _, n in chunks] == [min(size, total - start)
+                                          for start, _ in chunks]
 
 
 def test_general_sweep_independent_of_chunk_size(monkeypatch):

@@ -1,21 +1,26 @@
 """Momenta identities and the genus-zero product evaluation of f."""
 
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spzeros import branches
+from spzeros import branches, factor
 from spzeros import (
     ComplexPolynomial,
     DivergentMoment,
     OrderTooLarge,
+    ProblemSpec,
     ValidationError,
     build_system,
     closed_form_momentum,
     eval_f_direct,
     moment_sum,
+    moment_sums,
+    system_from_spec,
     taylor_at_zero,
     vieta_sums,
     wh_eval,
@@ -163,6 +168,12 @@ def test_moment_anchor_independence_m1():
         assert abs(rep.computed_sum - 1) <= rep.tail_bound + 1e-6
 
 
+@functools.lru_cache(maxsize=None)
+def _moments_at_zero(make, depth):
+    """Reports of orders 1 to 3 at w = 0, one pass per system and depth."""
+    return moment_sums(make(), (1, 2, 3), 0j, depth)
+
+
 @pytest.mark.parametrize("make, m, depths", [
     (cubic_system, 1, (6, 8, 10)),
     # cubic m = 2 and golden m = 3 shells fall far below the partial sum's
@@ -177,7 +188,7 @@ def test_extrapolated_momentum_within_its_error(make, m, depths):
     sys = make()
     closed = closed_form_momentum(sys, m, 0j)
     for depth in depths:
-        rep = moment_sum(sys, m, 0j, depth)
+        rep = _moments_at_zero(make, depth)[m - 1]
         err = abs(rep.extrapolated_sum - closed)
         assert math.isfinite(rep.extrapolation_error)
         assert err <= rep.extrapolation_error
@@ -236,6 +247,35 @@ def test_divergent_moment_refused():
     # = -2 (f''(0) = P''(b)/(a^2 - a) = 3).
     rep = moment_sum(sys, 2, 0j, 8)
     assert abs(rep.computed_sum - (-2)) <= rep.tail_bound + 1e-8
+
+
+def test_unconverged_tails_make_the_error_estimate_infinite():
+    # Chebyshev at n_cap 2: leaves still outside the contraction ball keep
+    # their partial products, with an infinite tail_estimate, so their
+    # noise is inf. The exact shell sums stay finite and the extrapolation
+    # error is inf, as it must be.
+    sys = system_from_spec(ProblemSpec(
+        coefficients=(-1 + 0j, 0j, 2 + 0j), fixed_point_hint=1 + 0j,
+        max_support=5, product_tolerance=1e-12, n_cap=2,
+        root_tolerance=1e-13))
+    for rep in moment_sums(sys, (1, 2), 0j, 5):
+        assert all(math.isfinite(abs(partial)) for _, partial in rep.shells)
+        assert rep.extrapolation_error == math.inf
+
+
+def test_moment_sums_refuse_every_order_before_the_sweep(monkeypatch):
+    # A divergent order listed after one that converges is refused before
+    # any leaf is computed.
+    sys = build_system(ComplexPolynomial((1 + 0j, -1 + 0j, 0j, 1 + 0j)), 1.0)
+
+    def no_sweep(*args):
+        raise AssertionError("swept before refusing")
+
+    monkeypatch.setattr(factor, "_leaf_chunks", no_sweep)
+    with pytest.raises(DivergentMoment, match="order 1 diverges"):
+        moment_sums(sys, (2, 1), 0j, 4)
+    with pytest.raises(ValidationError, match="max_support >= 1"):
+        moment_sums(sys, (2,), 0j, 0)
 
 
 def test_wh_eval_matches_direct_evaluation():
@@ -315,10 +355,9 @@ def test_wh_eval_needs_subexponential_zero_counting():
 
 
 def test_moment_sum_shells_match_per_mask_sums():
-    # The shells come from one stable partition by support; fsum is exactly
-    # rounded, so each shell sum must equal, bit for bit, the per-order
-    # boolean-mask sum it replaces. The noise, an error estimate, is a plain
-    # sum of n positive terms per shell, within (n - 1) u of its fsum.
+    # Shell sums and shell noise are exactly rounded, so each must equal,
+    # bit for bit, the fsum of its boolean mask, and with them the
+    # extrapolation error.
     sys = golden_system()
     depth = 10
     sweep = branches.sweep_products(sys, 0j, depth)
@@ -338,9 +377,7 @@ def test_moment_sum_shells_match_per_mask_sums():
             assert shell == support and partial == running
         _, error = _geometric_completion(sums, noises, sys.d * sys.a ** (-m),
                                          rep.tail_bound)
-        widest = int(np.max(np.bincount(sweep.support)))
-        assert (abs(rep.extrapolation_error - error)
-                <= (widest - 1) * 2.0 ** -53 * error)
+        assert rep.extrapolation_error == error
 
 
 def _moment_by_sorting(sys, m, w, depth):
@@ -379,13 +416,47 @@ def _moment_by_sorting(sys, m, w, depth):
     (golden_system, 18), (chebyshev_system, 16), (cubic_system, 10),
 ], ids=["golden", "chebyshev", "cubic"])
 def test_moment_sum_matches_sorted_reference(make, depth):
-    # The shells, strided views of the index-ordered sweep, give every
-    # field of the report bit for bit as the sorted partition does: golden
-    # at depth 18 spans four chunks of the sweep driver.
+    # The shells, views of the chunks reduced as the sweep driver yields
+    # them, give every field of the report bit for bit as the sorted
+    # partition of the whole sweep does: golden at depth 18 spans sixteen
+    # chunks.
     sys = make()
     for w in (0j, -2 + 0.5j):
-        for m in (1, 2, 3):
-            rep = moment_sum(sys, m, w, depth)
+        for m, rep in zip((1, 2, 3), moment_sums(sys, (1, 2, 3), w, depth)):
             got = (rep.computed_sum, rep.shells, rep.tail_bound,
                    rep.extrapolated_sum, rep.extrapolation_error)
             assert got == _moment_by_sorting(sys, m, w, depth), (w, m)
+
+
+@pytest.mark.parametrize("make, depth", [
+    (golden_system, 17), (cubic_system, 11),
+], ids=["golden", "cubic"])
+def test_moment_sums_independent_of_chunk_size(monkeypatch, make, depth):
+    # Chunks of 2^10 and 2^12 leaves, the default and 2^20 (the whole
+    # sweep) give every field of every report bit for bit. Cubic's chunks
+    # hold whole 3^k-leaf subtrees, one or two of them, so most start off
+    # the powers of 3 and cut its support shells.
+    sys = make()
+    runs = {}
+    for leaves in (1 << 10, 1 << 12, branches.CHUNK_LEAVES, 1 << 20):
+        with monkeypatch.context() as patch:
+            patch.setattr(branches, "CHUNK_LEAVES", leaves)
+            runs[leaves] = moment_sums(sys, (1, 2, 3), -2 + 0.5j, depth)
+    default = runs[branches.CHUNK_LEAVES]
+    assert all(reports == default for reports in runs.values())
+    assert [rep.order_m for rep in default] == [1, 2, 3]
+
+
+def test_moment_sums_hold_no_sweep():
+    # The traced peak of golden's orders 1 to 3 at depth 18 (2^18
+    # addresses). Holding the sweep took 16.9 MB, and each order's terms
+    # and noise 15.3 MB more; the chunks take a few MB at any depth.
+    sys = golden_system()
+    moment_sums(sys, (1,), 0j, 2)  # certify the tail's radii untraced
+    tracemalloc.start()
+    try:
+        moment_sums(sys, (1, 2, 3), 0j, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak

@@ -26,12 +26,15 @@ this tool there without that run.
 
 SHIPPED_RUNS adds runs made on one shipped problem only: golden's table
 at its fixed point b, whose ladder rungs scale by the irrational a = 2b,
-at depth 12 and at depth 17, where the w = b sweep spans two chunks of the
-sweep driver; golden's momenta of orders 1 to 3 at depth 17, two chunks;
-golden's wh at depth 18, whose ladder sweep spans two chunks and whose
-anchored sweep spans four; and golden's momenta of orders 12, 24 and 32
-at depth 8, whose closed forms reach MAX_MOMENT_ORDER = 32, the largest
-order --m accepts.
+at depth 12 and at depth 17, where the w = b sweep spans eight chunks of
+the sweep driver (2^14 leaves each); golden's momenta of orders 1 to 3 at
+depth 17, eight chunks; golden's wh at depth 18, whose ladder sweep spans
+eight chunks and whose anchored sweep spans sixteen; golden's momenta of
+orders 12, 24 and 32 at depth 8, whose closed forms reach
+MAX_MOMENT_ORDER = 32, the largest order --m accepts; and cubic6's momenta
+of orders 2 and 3 at depth 11, fourteen chunks of two 3^8-leaf subtrees
+(the last of one), whose offsets are multiples of 2 3^8, so that the
+chunks cut the support shells of d = 3 unaligned.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
@@ -119,7 +122,8 @@ RUNS = (
 # Golden's wh at depth 18 beyond a quarter of the smallest ladder base:
 # a ladder sweep of two chunks and an anchored sweep of four. Golden's
 # momenta at orders up to the bound on --m, whose closed form is the
-# series recursion at its longest.
+# series recursion at its longest. Cubic6's momenta at depth 11: 177,147
+# addresses reduced in fourteen chunks that start off the powers of 3.
 SHIPPED_RUNS = (
     ("golden.json", "invert", "--max-support", "12",
      "--w=1.618033988749895", "--verify"),
@@ -128,6 +132,7 @@ SHIPPED_RUNS = (
     ("golden.json", "moments", "--max-support", "17", "--m", "1,2,3"),
     ("golden.json", "wh", "--max-support", "18", "--z=-40,3"),
     ("golden.json", "moments", "--max-support", "8", "--m", "12,24,32"),
+    ("cubic6.json", "moments", "--max-support", "11", "--m", "2,3"),
 )
 
 # (file name, problem, fixed point b as an --w value). The quartic
