@@ -65,16 +65,16 @@ delta/4 and delta. Every product reads its truncation settings,
 sys.product_tolerance and sys.n_cap, from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 
-The sweeps' one driver, _leaf_chunks, only expands seeds and tails the
-leaves, yielding one fixed chunk of subtrees after another in a single
-thread; _sweep_leaves joins the chunks, and sweep_products and
-sweep_solutions_at_b scale the rows by a^N themselves and each build one
-frozen, read-only BranchSweep. The momentum sums reduce the chunks as they
-come instead (factor.moment_sums).
+There is one sweep generator, _sweep_chunks: it expands and tails one
+fixed chunk of subtrees after another in a single thread and yields each
+as a frozen, read-only BranchSweep at its offset, its rows final (a^N
+applied, or the w = b rung rule). sweep_products and sweep_solutions_at_b
+write the chunks in place into one held sweep (_joined); the momentum
+sums reduce them as they come instead (factor.moment_sums).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -593,8 +593,10 @@ class BranchSweep:
     tail_estimate: np.ndarray
     converged: np.ndarray
 
+    COLUMNS = ("values", "terms_used", "tail_estimate", "converged")
+
     def __post_init__(self):
-        for name in ("values", "terms_used", "tail_estimate", "converged"):
+        for name in self.COLUMNS:
             getattr(self, name).setflags(write=False)
 
     def indices(self):
@@ -649,17 +651,39 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _leaf_chunks(sys, seeds, levels):
-    """Expand seed deviations `levels` more levels and tail every leaf, one
-    fixed chunk of whole subtrees at a time.
+def _rungs(sys, N, start, values, steps, est, conv):
+    """The w = b rule, in place, on the rows from index `start` of the
+    depth-N sweep seeded at v = 0: index segment [d^(K-1), d^K) is the
+    depth-K ladder sweep (sweep_solutions_at_b), a^K L(v_leaf) with K prefix
+    factors, times a^(N-K), and index 0 is the solution 0."""
+    for K in range(1, N + 1):
+        lo, hi = np.clip([sys.d ** (K - 1) - start, sys.d ** K - start],
+                         0, values.size)
+        values[lo:hi] = sys.a ** (N - K) * (sys.a ** K * values[lo:hi])
+        steps[lo:hi] += K
+    if start == 0:
+        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
 
-    Yields (start, tail, steps, tail_estimate, converged) per chunk, in
-    padded-index order: start counts the chunk's first leaf from the first
-    leaf of the first seed, and the four arrays are _tail_products' of its
-    leaves. Seeds are expanded whole until a seed's subtree fits
-    CHUNK_LEAVES; the chunks then hold as many whole subtrees as fit.
+
+def _sweep_chunks(sys, w, depth):
+    """The depth-N sweep at anchor w (N = depth), one frozen BranchSweep
+    per fixed chunk of whole subtrees, at its offset, in index order.
+
+    The seed is v = w - b, v = 0 at the degenerate anchor (|w - b| <=
+    W_NEAR_B), or for w None the digit children of b, whose ladder bases
+    start at offset d^(N-1). Seeds are expanded whole until one subtree
+    fits CHUNK_LEAVES, and a chunk holds as many whole subtrees as fit. A
+    row is a^N L(v_leaf) with N prefix factors; at the degenerate anchor
+    each chunk takes the rung rule (_rungs).
     """
-    v = seeds
+    N = depth
+    at_b = w is not None and abs(w - sys.b) <= W_NEAR_B
+    if w is None:
+        v = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
+        levels, offset = N - 1, sys.d ** (N - 1)
+    else:
+        v = np.array([0j if at_b else w - sys.b], dtype=np.complex128)
+        levels, offset = N, 0
     while levels > 0 and sys.d ** levels > CHUNK_LEAVES:
         v = _expand_level(sys, v)
         levels -= 1
@@ -668,47 +692,50 @@ def _leaf_chunks(sys, seeds, levels):
         cv = v[lo:lo + group]
         for _ in range(levels):
             cv = _expand_level(sys, cv)
-        yield (lo * sys.d ** levels, *_tail_products(sys, cv, sys.n_cap))
+        start = offset + lo * sys.d ** levels
+        values, steps, est, conv = _tail_products(sys, cv, sys.n_cap)
+        if at_b:
+            _rungs(sys, N, start, values, steps, est, conv)
+        else:
+            # numpy's complex a * t and t * a can differ in the last bits:
+            # keep the scalar on the left; out= scales in place.
+            np.multiply(sys.a ** N, values, out=values)
+            steps += N
+        yield BranchSweep(depth=N, d=sys.d, anchor=w, offset=start,
+                          values=values, terms_used=steps, tail_estimate=est,
+                          converged=conv)
 
 
-def _sweep_leaves(sys, seeds, levels):
-    """_leaf_chunks' four arrays, each concatenated over the chunks."""
-    chunks = [chunk[1:] for chunk in _leaf_chunks(sys, seeds, levels)]
-    return [np.concatenate(column) for column in zip(*chunks)]
+def _joined(chunks, size):
+    """The one BranchSweep of `size` rows that _sweep_chunks' chunks make
+    up, each chunk written in place into arrays allocated at the first."""
+    columns = None
+    for chunk in chunks:
+        if columns is None:
+            base = chunk.offset
+            columns = {name: np.empty(size, dtype=getattr(chunk, name).dtype)
+                       for name in BranchSweep.COLUMNS}
+        lo = chunk.offset - base
+        for name, column in columns.items():
+            column[lo:lo + chunk.values.size] = getattr(chunk, name)
+    return replace(chunk, offset=base, **columns)
 
 
 def sweep_products(sys, w, max_support):
     """Values g_sigma(w) for every address with support <= max_support.
 
-    One batched pass over the padded address tree of depth N = max_support;
-    shared digit prefixes share their orbits and partial products, and a
-    leaf's value is a^N L(v_leaf), with N prefix factors. At the degenerate
-    anchor (|w - b| <= W_NEAR_B) the pass starts from v = 0, as
-    inverse_branch does: leading zero digits keep v at exactly 0, so index
-    segment [d^(K-1), d^K) holds the depth-K ladder sweep
-    (sweep_solutions_at_b), a^K L(v_leaf) with K prefix factors, times
-    a^(N-K). Index 0 is the solution 0.
+    One batched pass over the padded address tree of depth N = max_support
+    (_sweep_chunks); shared digit prefixes share their orbits and partial
+    products, and a leaf's value is a^N L(v_leaf), with N prefix factors.
+    At the degenerate anchor (|w - b| <= W_NEAR_B) the pass starts from
+    v = 0, as inverse_branch does: leading zero digits keep v at exactly 0,
+    so index segment [d^(K-1), d^K) holds the depth-K ladder sweep
+    (sweep_solutions_at_b) times a^(N-K), and index 0 is the solution 0.
     """
     w = complex(w)
     if max_support < 0:
         raise ValueError("max_support must be nonnegative")
-    N = max_support
-    at_b = abs(w - sys.b) <= W_NEAR_B
-    seeds = np.array([0j if at_b else w - sys.b], dtype=np.complex128)
-    values, steps, est, conv = _sweep_leaves(sys, seeds, N)
-    if at_b:
-        for K in range(1, N + 1):
-            lo, hi = sys.d ** (K - 1), sys.d ** K
-            values[lo:hi] = sys.a ** (N - K) * (sys.a ** K * values[lo:hi])
-            steps[lo:hi] += K
-        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
-    else:
-        # numpy's complex a * t and t * a can differ in the last bits: every
-        # sweep keeps the scalar on the left, and out= scales in place.
-        np.multiply(sys.a ** N, values, out=values)
-        steps += N
-    return BranchSweep(depth=N, d=sys.d, anchor=w, offset=0, values=values,
-                       terms_used=steps, tail_estimate=est, converged=conv)
+    return _joined(_sweep_chunks(sys, w, max_support), sys.d ** max_support)
 
 
 def sweep_solutions_at_b(sys, max_support):
@@ -725,14 +752,8 @@ def sweep_solutions_at_b(sys, max_support):
     """
     if max_support < 1:
         raise ValueError("max_support must be >= 1 for the degenerate anchor")
-    N = max_support
-    seeds = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
-    values, steps, est, conv = _sweep_leaves(sys, seeds, N - 1)
-    np.multiply(sys.a ** N, values, out=values)  # scalar left, as above
-    steps += N
-    return BranchSweep(depth=N, d=sys.d, anchor=None, offset=sys.d ** (N - 1),
-                       values=values, terms_used=steps, tail_estimate=est,
-                       converged=conv)
+    return _joined(_sweep_chunks(sys, None, max_support),
+                   (sys.d - 1) * sys.d ** (max_support - 1))
 
 
 def _address_product(sys, digits, v0, label):

@@ -18,10 +18,9 @@ from . import dd
 from .branches import (
     UNIT_ROUNDOFF,
     W_NEAR_B,
-    BranchSweep,
     _floor_of_minima,
-    _leaf_chunks,
     _shell_minima,
+    _sweep_chunks,
     geometric_tail,
     growth_floor,
     relative_error,
@@ -132,24 +131,12 @@ def _ladder_sums(sys, max_support):
     return _LadderSums(
         bases=bases,
         g_min=float(np.min(np.abs(bases))),
-        inv_sum=_fsum(1.0 / np.abs(bases)),
+        inv_sum=math.fsum(memoryview(1.0 / np.abs(bases))),
         missing=geometric_tail(growth_floor(sweep, a_abs), sys.d, a_abs,
                                max_support + 1, 1),
         series=tuple(series),
         rounding=units * UNIT_ROUNDOFF,
     )
-
-
-def _fsum(values):
-    """Exactly rounded sum of a real array, strided views included; fsum
-    reads the floats of a 1-D memoryview faster than numpy scalars or a
-    list."""
-    return math.fsum(memoryview(np.ravel(values)))
-
-
-def _complex_sum(values):
-    """Exactly rounded complex sum (order independent)."""
-    return complex(_fsum(values.real), _fsum(values.imag))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,7 +224,7 @@ def moment_sums(sys, orders, w, max_support):
     one MomentReport per order m in `orders`, from one pass over the sweep.
 
     Every order is checked first (_check_order). The sweep is never held:
-    each chunk of _leaf_chunks is scaled by a^N and reduced as it comes,
+    each chunk of _sweep_chunks, its rows final, is reduced as it comes,
     through the views of BranchSweep.shells at its offset. Per order and
     shell the terms and their noise go into exact sums (ExactSums), and per
     shell the least |g_sigma| into the growth floor. So every shell sum is
@@ -253,18 +240,12 @@ def moment_sums(sys, orders, w, max_support):
     term_sums = [ExactSums(2 * shells) for _ in orders]
     noise_sums = [ExactSums(shells) for _ in orders]
     least = np.full(shells, np.inf)
-    seeds = np.array([w - sys.b], dtype=np.complex128)
-    for start, values, steps, est, conv in _leaf_chunks(sys, seeds, N):
-        np.multiply(sys.a ** N, values, out=values)  # scalar left, as sweeps
-        steps += N
-        chunk = BranchSweep(depth=N, d=sys.d, anchor=w, offset=start,
-                            values=values, terms_used=steps,
-                            tail_estimate=est, converged=conv)
+    for chunk in _sweep_chunks(sys, w, N):
         support = chunk.support.astype(np.intp)
         parts = (2 * support[:, None] + np.arange(2)).ravel()
-        rel = relative_error(est, steps)
+        rel = relative_error(chunk.tail_estimate, chunk.terms_used)
         with np.errstate(over="ignore", invalid="ignore"):
-            base = (w - sys.b) / values
+            base = (w - sys.b) / chunk.values
         for m, term_sum, noise_sum in zip(orders, term_sums, noise_sums):
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = base ** m
@@ -346,15 +327,11 @@ def vieta_sums(sys, w, max_support):
     """First two Viete aggregates of y_sigma = (w - b)/g_sigma(w).
 
     Returns (S1, S2) with S1 = sum y_sigma and S2 = sum over unordered pairs
-    y_sigma y_tau = (S1^2 - sum y_sigma^2) / 2.
+    y_sigma y_tau = (S1^2 - sum y_sigma^2) / 2, from the momenta of orders
+    1 and 2 (moment_sums), which refuse what it refuses.
     """
-    w = complex(w)
-    if abs(w - sys.b) <= W_NEAR_B:
-        raise ValueError("Viete sums need an anchor away from the fixed point")
-    sweep = _anchor_sweep(sys, w, max_support)
-    y = (w - sys.b) / sweep.values
-    p1 = _complex_sum(y)
-    p2 = _complex_sum(y * y)
+    p1, p2 = (report.computed_sum
+              for report in moment_sums(sys, (1, 2), w, max_support))
     return p1, (p1 * p1 - p2) / 2.0
 
 

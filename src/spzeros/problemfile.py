@@ -93,8 +93,9 @@ def check_enumeration_size(degree, max_support, tables=1):
         raise ValidationError("max_support must be nonnegative")
     if max_support > 24:
         raise ValidationError("max_support must be at most 24")
-    # Peak memory grows by about 110 B per row, so 2^24 rows take about
-    # 1.9 GB: depth 24 for d = 2, 15 for d = 3, 12 for d = 4.
+    # 2^24 rows is depth 24 for d = 2, 15 for d = 3, 12 for d = 4. A held
+    # table adds about 28 B of peak memory per row, invert --verify 240 B
+    # more. The message keeps its "about 1.9 GB", since its bytes are output.
     if tables * degree ** max_support > 2 ** 24:
         size = f"{degree}^{max_support}"
         if tables > 1:

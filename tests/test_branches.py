@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,22 +541,42 @@ def test_sweep_independent_of_chunk_size(monkeypatch):
 
 
 def test_leaf_chunks_start_where_the_last_ended(monkeypatch):
-    # Each chunk's start is the count of leaves before it, and the chunks
-    # hold every leaf of every seed. In chunks of 2^11 leaves, cubic's hold
-    # two 3^6-leaf subtrees, so their starts are off the powers of 3, and
-    # the ladder seeds of golden (one, the digit-1 child of b) 2^11 leaves.
+    # Each chunk of _sweep_chunks starts where the last one ended, and the
+    # chunks hold every row of the sweep. In chunks of 2^11 leaves, cubic's
+    # anchored sweep at depth 9 holds two 3^6-leaf subtrees a chunk, so the
+    # offsets are off the powers of 3; golden's sweep at b and its ladder
+    # sweep, whose one seed is the digit-1 child of b and whose rows start
+    # at offset d^(N-1), hold 2^11 leaves a chunk.
     cubic, golden = cubic_system(), golden_system()
-    zero = np.zeros(1, dtype=np.complex128)
-    cases = ((cubic, zero - cubic.b, 9, 2 * 3 ** 6),
-             (golden, branches._expand_level(golden, zero)[1:], 12, 1 << 11))
-    for sys, seeds, levels, size in cases:
+    cases = ((cubic, 0j, 9, 0, 2 * 3 ** 6),
+             (golden, golden.b, 12, 0, 1 << 11),
+             (golden, None, 13, 1 << 12, 1 << 11))
+    for sys, w, depth, offset, size in cases:
         chunks = _in_chunks(monkeypatch, 1 << 11, lambda: [
-            (start, tail.size) for start, tail, *_ in
-            branches._leaf_chunks(sys, seeds, levels)])
-        total = seeds.size * sys.d ** levels
-        assert [start for start, _ in chunks] == list(range(0, total, size))
-        assert [n for _, n in chunks] == [min(size, total - start)
+            (chunk.offset, chunk.values.size) for chunk in
+            branches._sweep_chunks(sys, w, depth)])
+        end = sys.d ** depth
+        assert [start for start, _ in chunks] == list(range(offset, end, size))
+        assert [n for _, n in chunks] == [min(size, end - start)
                                           for start, _ in chunks]
+
+
+def test_sweep_products_joins_its_chunks_in_place():
+    # The traced peak of golden's depth-18 sweep at w = 0, whose four
+    # arrays hold 7.6 MB: joining a list of chunks took twice that, the
+    # chunks and their copy at once. Written in place, only one chunk's
+    # working memory comes on top, about half as much again.
+    sys = golden_system()
+    sweep_products(sys, 0j, 2)  # certify the tail's radii untraced
+    tracemalloc.start()
+    try:
+        sweep = sweep_products(sys, 0j, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (sweep.values.nbytes + sweep.terms_used.nbytes
+            + sweep.tail_estimate.nbytes + sweep.converged.nbytes)
+    assert peak <= 1.6 * held, (peak, held)
 
 
 def test_general_sweep_independent_of_chunk_size(monkeypatch):

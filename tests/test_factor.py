@@ -271,11 +271,30 @@ def test_moment_sums_refuse_every_order_before_the_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept before refusing")
 
-    monkeypatch.setattr(factor, "_leaf_chunks", no_sweep)
+    monkeypatch.setattr(factor, "_sweep_chunks", no_sweep)
     with pytest.raises(DivergentMoment, match="order 1 diverges"):
         moment_sums(sys, (2, 1), 0j, 4)
     with pytest.raises(ValidationError, match="max_support >= 1"):
         moment_sums(sys, (2,), 0j, 0)
+
+
+def test_vieta_sums_refuse_what_the_momenta_refuse(monkeypatch):
+    # S1 of P = z^3 - z + 1 at b = 1 (d / |a| = 1.5) is the divergent
+    # momentum of order 1, refused before any leaf is computed, as are the
+    # fixed point as the anchor and a sweep with no address of support 1.
+    sys = build_system(ComplexPolynomial((1 + 0j, -1 + 0j, 0j, 1 + 0j)), 1.0)
+
+    def no_sweep(*args):
+        raise AssertionError("swept before refusing")
+
+    monkeypatch.setattr(factor, "_sweep_chunks", no_sweep)
+    with pytest.raises(DivergentMoment, match="order 1 diverges"):
+        vieta_sums(sys, 0j, 4)
+    golden = golden_system()
+    with pytest.raises(ValidationError, match="away from the fixed point"):
+        vieta_sums(golden, golden.b, 4)
+    with pytest.raises(ValidationError, match="max_support >= 1"):
+        vieta_sums(golden, 0j, 0)
 
 
 def test_wh_eval_matches_direct_evaluation():

@@ -56,9 +56,9 @@ def test_caller_blas_thread_count_wins():
 
 
 def test_sweep_of_two_chunks_loads_no_pool():
-    # Golden's momenta at depth 17 sweep 131,072 addresses in two chunks,
-    # which _sweep_leaves runs in turn. numpy itself imports threading, so
-    # the check is on the modules a pool would bring.
+    # Golden's momenta at depth 17 sweep 131,072 addresses in eight
+    # chunks, which _sweep_chunks runs in turn. numpy itself imports
+    # threading, so the check is on the modules a pool would bring.
     code = ("import os, sys; from spzeros import cli; "
             "code = cli.main(['moments', 'problems/golden.json', "
             "'--max-support', '17', '--m', '1', '-o', os.devnull]); "

@@ -117,10 +117,10 @@ RUNS = (
 # (file name under problems/, arguments after its path). The w = b table of
 # golden.json at its default depth: 4,096 rows, every rung scaled by a
 # power of a = 2b = 1 + sqrt(5); at depth 17 the same table has 131,072
-# rows from two sweep chunks. Golden's momenta at depth 17: 131,072
-# addresses, two sweep chunks, summed shell by shell for m = 1, 2, 3.
+# rows from eight sweep chunks. Golden's momenta at depth 17: 131,072
+# addresses, eight sweep chunks, summed shell by shell for m = 1, 2, 3.
 # Golden's wh at depth 18 beyond a quarter of the smallest ladder base:
-# a ladder sweep of two chunks and an anchored sweep of four. Golden's
+# a ladder sweep of eight chunks and an anchored sweep of sixteen. Golden's
 # momenta at orders up to the bound on --m, whose closed form is the
 # series recursion at its longest. Cubic6's momenta at depth 11: 177,147
 # addresses reduced in fourteen chunks that start off the powers of 3.
