@@ -32,15 +32,18 @@ Taking u - P(crit) as v + kappa keeps a passage through the critical value
 exact, so addresses that collapse onto a multiple zero agree to rounding.
 The principal child is t_b y / sum_{k<d} rho^k with y = v / kappa,
 rho^d = 1 + y and t_b = b - crit, which carries the relative accuracy of
-v with no cancellation. Any other P solves P(z) = u by the Aberth root
-solver; its principal steps update v <- v / Q(u), with the principal root
-u (well conditioned, since an orbit can only approach a root of Q when its
-parent is near b, where Q is evaluated near b instead). Direct evaluation
-of Q at a point close to one of its roots, which loses half the digits to
-cancellation exactly at the largest solutions, never happens. One
-function, _children, takes the inverse step for both kinds of P, and one
-tie rule, _branch_order, orders its branches; its first column alone,
-_first_branch, names the principal one.
+v with no cancellation. For d = 2 the roots are +-s, and the sign of
+Re(s conj t_b) names the principal one (_quadratic_root): one square root
+per step and no second column to order; only rows within a rounding bound
+of a tie take the general tie rule. Any other P solves P(z) = u by the
+Aberth root solver; its principal steps update v <- v / Q(u), with the
+principal root u (well conditioned, since an orbit can only approach a
+root of Q when its parent is near b, where Q is evaluated near b
+instead). Direct evaluation of Q at a point close to one of its roots,
+which loses half the digits to cancellation exactly at the largest
+solutions, never happens. One function, _children, takes the inverse step
+for both kinds of P, and one tie rule, _branch_order, orders its
+branches; its first column alone, _first_branch, names the principal one.
 
 The principal tail is the principal inverse itself: in deviations it is
 the Koenigs linearizer L of V(v) = P(b + v) - b, L(V(v)) = a L(v) with
@@ -110,10 +113,12 @@ HYPOTHESIS_ORBIT_CAP = 500
 HYPOTHESIS_RADIUS = 10.0
 HYPOTHESIS_COUNT = 64
 # Batched sweeps expand and tail the address tree in subtree chunks of at
-# most this many leaves, which bounds the tail's working memory (about
-# 150 B per leaf) and that of the momentum sums reduced inside each chunk.
-# Golden's depth-18 moments of orders 1 to 3 peaked at 33, 36, 41 and 51 MB
-# of RSS in chunks of 2^13 to 2^16 leaves, with the least CPU at 2^14.
+# most this many leaves, which bounds the working memory of expansion and
+# tail (a traced peak of 113 B per leaf on golden, its 29 B of output
+# included) and that of the momentum sums reduced inside each chunk.
+# Golden's depth-18 moments of orders 1 to 3 peaked at 32, 34, 38 and 45 MB
+# of RSS in chunks of 2^13 to 2^16 leaves; 2^13 took about a tenth more CPU
+# than the larger chunks, which were within noise of each other.
 # Every leaf is computed alone, so the chunk size moves no bit.
 CHUNK_LEAVES = 1 << 14
 # Greatest depth of tail_bound's probe sweep; less where d^depth > 50,000.
@@ -267,18 +272,24 @@ def _dth_roots(z, d):
     return out
 
 
-def _principal_quotient(sys, y, rho):
-    """P_0^{-1}(b + v) - b = t_b y / sum_{k<d} rho^k, with y = v / kappa.
+def _principal_quotient(sys, v, s0):
+    """P_0^{-1}(b + v) - b = t_b y / sum_{k<d} rho^k, with y = v / kappa,
+    from the principal root s0 of s^d = (v + kappa) / c_d.
 
-    rho = s / t_b is the root of rho^d = 1 + y that the principal branch
+    rho = s0 / t_b is the root of rho^d = 1 + y that the principal branch
     takes. Since rho^d - 1 = y, this is t_b (rho - 1) without the
     cancellation of forming it near b; at the critical value, y = -1 and
-    rho = 0, it is exactly -t_b.
+    rho = 0, it is exactly -t_b. The caller's temporary s0 is overwritten.
+    Products are not formed in place (eval_array).
     """
-    acc = rho + 1.0
+    rho = np.divide(s0, sys.t_b, out=s0)
+    acc = np.add(rho, 1.0, out=rho if sys.d == 2 else None)
     for _ in range(sys.d - 2):
-        acc = acc * rho + 1.0
-    return sys.t_b * y / acc
+        acc = acc * rho
+        acc += 1.0
+    out = sys.t_b * (v / sys.kappa)
+    out /= acc
+    return out
 
 
 def _closed_roots(sys, v):
@@ -286,16 +297,59 @@ def _closed_roots(sys, v):
     return _dth_roots((v + sys.kappa) / sys.P.coefficients[-1], sys.d)
 
 
+def _quadratic_root(sys, v):
+    """The principal root s of s^2 = (v + kappa) / c_2, one per row of v.
+
+    The roots are +-sqrt, and |s - t_b|^2 - |-s - t_b|^2 = -4 Re(s conj t_b),
+    so s = sqrt((v + kappa) / c_2), negated where Re(s conj t_b) < 0, is
+    the root that _first_branch puts first, except inside a band around
+    s perpendicular to t_b, where the rounding of the tie rule's moduli can
+    decide. The band comes from this bound. Let u = 2^-53,
+    N = |s|^2 + |t_b|^2 and p = Re(s conj t_b). The tie rule compares the
+    computed moduli of s - t_b and -s - t_b; each difference is exact to u
+    per part, and np.abs is taken to be within 4 ulps (8u; 1.8 ulps is the
+    worst measured), so both moduli are within 9.01u of the exact ones X
+    and Y. Since Y^2 - X^2 = 4p and (X + Y)^2 <= 4N, the computed
+    comparison is strict and follows the sign of p wherever |p| > 9.01u N.
+    The computed p is within 1.01u N of p and the computed N within 3.01u N
+    of N, so |p| > 16u N as computed is enough. The rows inside that band,
+    and the ones whose p or N is not finite, take _first_branch on
+    [s, -s] as the general rule does.
+    """
+    s = np.add(v, sys.kappa)
+    s /= sys.P.coefficients[-1]
+    np.sqrt(s, out=s)
+    t = sys.t_b
+    p = s.real * t.real
+    band = s.imag * t.imag
+    p += band
+    np.multiply(s.real, s.real, out=band)
+    band += s.imag * s.imag
+    band += t.real * t.real + t.imag * t.imag
+    band *= 16.0 * UNIT_ROUNDOFF
+    # Written as "not outside" so that a NaN falls in the band.
+    tie = ~(np.abs(p) > band)
+    np.negative(s, out=s, where=(p < 0.0) & ~tie)
+    rows = np.flatnonzero(tie)
+    if rows.size:
+        pair = np.stack([s[rows], -s[rows]], axis=1)
+        s[rows] = pair[np.arange(rows.size), _first_branch(pair - t)]
+    return s
+
+
 def _closed_principal(sys, v):
     """The principal child alone of b + v for unicritical P.
 
-    It picks the one root s that _first_branch puts first and applies
-    _principal_quotient: the same bits as column 0 of _closed_children,
-    without ordering or gathering the other columns.
+    It takes the one root s that _first_branch puts first, for d = 2 from
+    _quadratic_root alone, and applies _principal_quotient: the same bits
+    as column 0 of _closed_children, without ordering or gathering the
+    other columns.
     """
+    if sys.d == 2:
+        return _principal_quotient(sys, v, _quadratic_root(sys, v))
     s = _closed_roots(sys, v)
-    s0 = s[np.arange(v.size), _first_branch(s - sys.t_b)]
-    return _principal_quotient(sys, v / sys.kappa, s0 / sys.t_b)
+    return _principal_quotient(
+        sys, v, s[np.arange(v.size), _first_branch(s - sys.t_b)])
 
 
 def _closed_children(sys, v):
@@ -304,14 +358,23 @@ def _closed_children(sys, v):
     The roots of P(z) = b + v are crit + s, s^d = (v + kappa) / c_d. Forming
     u - P(crit) as v + kappa, never as (b + v) - P(crit), keeps the critical
     value exact: there s = 0 and every child is the critical point. Columns
-    are in _branch_order, and the principal one is _principal_quotient.
+    are in _branch_order, and the principal one is _principal_quotient. For
+    d = 2 the principal root s_0 is _quadratic_root and the other child is
+    -s_0 - t_b.
     """
+    if sys.d == 2:
+        out = np.empty((v.size, 2), dtype=np.complex128)
+        s0 = _quadratic_root(sys, v)
+        np.negative(s0, out=out[:, 1])
+        out[:, 1] -= sys.t_b
+        out[:, 0] = _principal_quotient(sys, v, s0)
+        return out
     s = _closed_roots(sys, v)
     rel = s - sys.t_b
     order = _branch_order(rel)
     rel = np.take_along_axis(rel, order, axis=1)
     s0 = np.take_along_axis(s, order[:, :1], axis=1)[:, 0]
-    rel[:, 0] = _principal_quotient(sys, v / sys.kappa, s0 / sys.t_b)
+    rel[:, 0] = _principal_quotient(sys, v, s0)
     return rel
 
 
@@ -400,14 +463,19 @@ def _conjugate_newton(sys, v):
     floor = NEWTON_RESIDUAL * mag
     # Written as "not within" so that a NaN counts as above the floor.
     for _ in range(NEWTON_CAP):
-        res = sys.V.eval_array(x) - v
+        res = sys.V.eval_array(x)
+        res -= v
         above = ~(np.abs(res) <= floor)
         if not above.any():
             break
         d = dV.eval_array(x)
-        x = x - res / np.where(d == 0, 1e-300, d)
+        d[d == 0] = 1e-300
+        res /= d
+        x -= res
     else:
-        above = ~(np.abs(sys.V.eval_array(x) - v) <= floor)
+        res = sys.V.eval_array(x)
+        res -= v
+        above = ~(np.abs(res) <= floor)
     return x, above | ~(np.abs(x) <= mag)
 
 
@@ -440,9 +508,10 @@ def _principal_orbit(sys, v, radius, max_steps):
     Each orbit takes _principal_step until it is inside the disc, at most
     max_steps times. Returns (last, steps, outside): each orbit's last
     point, its step count, and the indices of the orbits still outside the
-    disc, in increasing order.
+    disc, in increasing order. last is v itself, overwritten in place: every
+    caller passes an array of its own.
     """
-    last = v.copy()
+    last = v
     steps = np.zeros(v.size, dtype=np.int32)
     work = np.flatnonzero(~(np.abs(v) < radius))
     cur = v[work]
@@ -555,7 +624,8 @@ def _tail_products(sys, v, cap):
     steps (cap: sys.n_cap less any digit prefix) is flagged unconverged; it
     takes the series where it stands inside the contraction ball, and
     beyond it, where the series may diverge, keeps the partial product
-    a^K v_K.
+    a^K v_K. The tail is v itself, overwritten in place: every caller
+    passes leaves of its own, which it reads no more.
     """
     delta = contraction_delta(sys)
     ell, kappa, r_s = _koenigs_data(sys)
@@ -564,7 +634,10 @@ def _tail_products(sys, v, cap):
     converged[work] = False
     mag = np.abs(last)
     ball = mag < delta
-    last[ball] *= _series(ell, last[ball])
+    if ball.all():
+        last *= _series(ell, last)
+    else:
+        last[ball] *= _series(ell, last[ball])
     last *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
     return last, count + 1, _series_bound(kappa, delta, mag), converged
 

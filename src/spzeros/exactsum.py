@@ -54,13 +54,20 @@ class ExactSums:
             self._fold(keys[lo:lo + FOLD_VALUES], values[lo:lo + FOLD_VALUES])
 
     def _fold(self, keys, values):
+        # In place on the arrays made here, never on the caller's values.
         m, e = np.frexp(values)
-        t = m * _SPLIT
-        hi = (t + _ROUND) - _ROUND
-        lo = (t - hi) * _LO_UNIT
         e0 = int(e.min())
         width = int(e.max()) - e0 + 1
-        bins = keys * width + (e - e0)
+        e -= e0
+        bins = keys * width
+        bins += e
+        del e  # gone before hi is made
+        m *= _SPLIT
+        hi = m + _ROUND
+        hi -= _ROUND
+        lo = m
+        lo -= hi
+        lo *= _LO_UNIT
         size = len(self._ints) * width
         hi_sums = np.bincount(bins, hi, size)
         lo_sums = np.bincount(bins, lo, size)

@@ -242,19 +242,24 @@ def moment_sums(sys, orders, w, max_support):
     least = np.full(shells, np.inf)
     for chunk in _sweep_chunks(sys, w, N):
         support = chunk.support.astype(np.intp)
-        parts = (2 * support[:, None] + np.arange(2)).ravel()
+        # Key 2s holds the real parts of shell s, key 2s + 1 the imaginary.
+        parts = np.empty((support.size, 2), dtype=np.intp)
+        np.multiply(support[:, None], 2, out=parts)
+        parts[:, 1] += 1
         rel = relative_error(chunk.tail_estimate, chunk.terms_used)
         with np.errstate(over="ignore", invalid="ignore"):
             base = (w - sys.b) / chunk.values
+        noise = np.empty(base.size)
         for m, term_sum, noise_sum in zip(orders, term_sums, noise_sums):
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = base ** m
             if not np.all(np.isfinite(terms)):
                 raise ValidationError(
                     f"momentum terms of order {m} overflow at anchor w = {w}")
+            # add() leaves terms as they are, so they are read again here.
             term_sum.add(parts, terms.view(np.float64))
             # A relative error e in g_sigma moves its term by about m e |term|.
-            noise = np.abs(terms)
+            np.abs(terms, out=noise)
             noise *= m
             noise *= rel
             noise_sum.add(support, noise)

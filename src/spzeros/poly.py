@@ -48,11 +48,18 @@ class ComplexPolynomial:
     __call__ = eval
 
     def eval_array(self, z):
-        """Horner evaluation on an ndarray, returns complex128 ndarray."""
+        """Horner evaluation on an ndarray, returns complex128 ndarray.
+
+        Sums are formed in place, products not: numpy multiplies a
+        one-element complex array in place by another loop than out of
+        place, one without the fused multiply-add, and the two can differ
+        in the last bit.
+        """
         z = np.asarray(z, dtype=np.complex128)
         acc = np.full_like(z, self.coefficients[-1])
         for c in reversed(self.coefficients[:-1]):
-            acc = acc * z + c
+            acc = acc * z
+            acc += c
         return acc
 
     def derivative(self):

@@ -579,6 +579,29 @@ def test_sweep_products_joins_its_chunks_in_place():
     assert peak <= 1.6 * held, (peak, held)
 
 
+def test_sweep_kernel_working_memory():
+    # The traced peak of one chunk of golden's depth-18 sweep at w = 0: its
+    # 2^14-leaf subtree expanded over 14 levels, then its tails, output
+    # (29 B per leaf) included. Stacking both roots, ordering and gathering
+    # them and copying the tail's leaves took 196.6 B per leaf.
+    sys = golden_system()
+    sweep_products(sys, 0j, 2)  # certify the tail's radii untraced
+    v = np.array([-sys.b])
+    for _ in range(4):
+        v = branches._expand_level(sys, v)
+    v = v[:1].copy()
+    tracemalloc.start()
+    try:
+        for _ in range(14):
+            v = branches._expand_level(sys, v)
+        branches._tail_products(sys, v, sys.n_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.size == branches.CHUNK_LEAVES
+    assert peak <= 128 * v.size, peak / v.size
+
+
 def test_general_sweep_independent_of_chunk_size(monkeypatch):
     # The root-solver route in chunks far smaller than its sweeps: Chebyshev
     # at depth 10 in 16 chunks of 2^6 leaves, whose rows are still its exact
@@ -794,6 +817,67 @@ def _tie_rows(sys):
     return np.array([-sys.kappa, -sys.kappa - 0.5, -sys.kappa - 3.0,
                      -4.0 * sys.kappa, complex("nan+nanj"), np.inf],
                     dtype=np.complex128)
+
+
+def _general_quadratic_root(sys, v):
+    # Both roots from _dth_roots, the principal one picked by the lexsort
+    # reference of the tie rule: none of _quadratic_root's sign rule.
+    s = branches._dth_roots((v + sys.kappa) / sys.P.coefficients[-1], 2)
+    return s[np.arange(v.size), _lexsort_order(s - sys.t_b)[:, 0]]
+
+
+def _band_edge_rows(sys):
+    # Deviations whose root s is perpendicular to t_b, or turned off it by
+    # 1e-17 to 1e-12 rad either way, at |s| from 1e-3 to 1e3 times |t_b|;
+    # and the np.nextafter neighbours of each part of every one.
+    turn = np.concatenate([[0.0], np.logspace(-17, -12, 11),
+                           -np.logspace(-17, -12, 11)])
+    s = 1j * sys.t_b * np.outer(np.logspace(-3, 3, 13), np.exp(1j * turn))
+    v = (sys.P.coefficients[-1] * s * s - sys.kappa).ravel()
+    rows = [v]
+    for toward in (-np.inf, np.inf):
+        rows.append(np.nextafter(v.real, toward) + 1j * v.imag)
+        rows.append(v.real + 1j * np.nextafter(v.imag, toward))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("make", [
+    golden_system, chebyshev_system,
+    # z^2 + (-1 + 0.3i): complex b and t_b.
+    lambda: build_system(ComplexPolynomial((-1 + 0.3j, 0, 1)), 1.6)],
+    ids=["golden", "chebyshev2", "complex"])
+def test_quadratic_root_matches_the_general_tie_rule(make, monkeypatch):
+    # The one-root rule of d = 2 against both roots ordered by the lexsort
+    # reference, bit for bit: on log-spread rows, the tie rows, rows at the
+    # edge of the rounding band and rows that are not finite. Some rows, not
+    # all, fall in the band and take _first_branch.
+    sys = make()
+    rng = np.random.default_rng(74)
+    v = np.concatenate([
+        _log_spread_deviations(rng, 300, 1e6) - sys.kappa,
+        _log_spread_deviations(rng, 300, 1e3),
+        _tie_rows(sys), _band_edge_rows(sys),
+        np.array([-np.inf, complex(0, np.inf), complex(np.inf, -np.inf),
+                  complex(1, np.nan), complex(np.nan, 0)])])
+    banded = []
+    first_branch = branches._first_branch
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _general_quadratic_root(sys, v)
+        with monkeypatch.context() as m:
+            m.setattr(branches, "_first_branch", lambda rel: (
+                banded.append(len(rel)), first_branch(rel))[1])
+            got = branches._quadratic_root(sys, v)
+        kids = branches._closed_children(sys, v)
+        quotient = branches._principal_quotient(sys, v, want.copy())
+        principal = branches._closed_principal(sys, v)
+    assert 0 < sum(banded) < v.size
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite].view(np.uint8),
+                          want[finite].view(np.uint8))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(kids[:, 1], -want - sys.t_b, equal_nan=True)
+    assert np.array_equal(kids[:, 0], quotient, equal_nan=True)
+    assert np.array_equal(principal, quotient, equal_nan=True)
 
 
 def test_root_tolerance_reaches_every_root_solve(monkeypatch):

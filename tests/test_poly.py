@@ -26,6 +26,32 @@ def test_polynomial_eval_matches_numpy():
         assert abs(p.eval(z) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_eval_array_leaves_its_points_unchanged():
+    # The Horner loop works in place on an array of its own, never on z.
+    p = ComplexPolynomial((1 + 2j, 0j, -3 + 0j, 2 + 0j))
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 17, 1000):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        before = z.copy()
+        out = p.eval_array(z)
+        assert np.array_equal(z.view(np.uint8), before.view(np.uint8))
+        assert not np.shares_memory(out, z)
+        assert np.all(np.abs(out - [p.eval(x) for x in z.tolist()])
+                      <= 1e-12 * np.maximum(1.0, np.abs(out)))
+
+
+def test_eval_array_rounds_one_point_as_among_many():
+    # A point gets the same bits alone as in a batch. numpy multiplies a
+    # one-element complex array in place by another loop than out of place
+    # (one without the fused multiply-add), so Horner's products stay out
+    # of place; the single products and the sweeps rely on it.
+    p = ComplexPolynomial((1 + 2j, 0.5 - 1j, -3 + 0j, 2 + 0j))
+    z = np.random.default_rng(9).normal(size=(200, 2)) @ [1, 1j]
+    many = p.eval_array(z)
+    alone = np.concatenate([p.eval_array(z[i:i + 1]) for i in range(z.size)])
+    assert np.array_equal(alone.view(np.uint8), many.view(np.uint8))
+
+
 def test_derivative_matches_finite_difference():
     p = ComplexPolynomial((1 + 2j, 0j, -3 + 0j, 2 + 0j))
     dp = p.derivative()
