@@ -73,7 +73,9 @@ fixed chunk of subtrees after another in a single thread and yields each
 as a frozen, read-only BranchSweep at its offset, its rows final (a^N
 applied, or the w = b rung rule). sweep_products and sweep_solutions_at_b
 write the chunks in place into one held sweep (_joined); the momentum
-sums reduce them as they come instead (factor.moment_sums).
+sums reduce them as they come instead (factor.moment_sums). A row's
+support is read off its padded index, one stride per power of d
+(BranchSweep.support), and the growth floor is one masked minimum over it.
 """
 
 import math
@@ -649,8 +651,9 @@ class BranchSweep:
     Addresses are indexed by padding to exactly `depth` digits and reading
     them as a base-d integer, most significant digit first; index j therefore
     runs over [offset, offset + values.size) and the canonical address is j
-    with trailing zeros stripped, so each support is a stride (shells). For
-    an anchor sweep, values[j - offset] is g_sigma(anchor); for the
+    with trailing zeros stripped, so its support is depth less the number
+    of trailing zeros of j, read off one stride of rows per zero (support).
+    For an anchor sweep, values[j - offset] is g_sigma(anchor); for the
     degenerate-anchor sweep (anchor None) it is the ladder base attached to
     an address whose first digit is nonzero.
     A sweep is frozen and its four arrays are read-only, since caches hand
@@ -675,40 +678,14 @@ class BranchSweep:
     def indices(self):
         return np.arange(self.values.size, dtype=np.int64) + self.offset
 
-    def shells(self, x):
-        """Yield (s, view of the rows of x with support s), s = 0 .. depth,
-        in index order, for rows at indices [offset, offset + len(x)) from
-        any offset.
-
-        Index 0 alone has support 0. Support s >= 1 holds the indices
-        m d^(depth-s) with d not dividing m: the stride d^(depth-s) over x,
-        in runs of d from each m that d divides, less the first of each
-        run. A run that the range cuts comes as a view of its own, so a
-        shell comes in up to three views (the cut runs at either end around
-        the whole ones), and a shell with no row in the range as one empty
-        view.
-        """
-        yield 0, x[:0 if self.offset else 1]
-        d = self.d
-        for s in range(1, self.depth + 1):
-            step = d ** (self.depth - s)
-            first = -self.offset % step
-            rows = x[first::step]
-            head = -(self.offset + first) // step % d
-            runs = max(len(rows) - head, 0) // d * d
-            pieces = [rows[:head],
-                      rows[head:head + runs].reshape(-1, d)[:, 1:],
-                      rows[head + runs + 1:]]
-            pieces = [p for p in pieces if p.size] or pieces[1:2]
-            for rows in pieces:
-                yield s, rows
-
     @property
     def support(self):
-        """Support of each row's address, from shells."""
-        supp = np.empty(self.values.size, dtype=np.int16)
-        for s, rows in self.shells(supp):
-            rows[...] = s
+        """Support of each row's address: depth less the number of k in
+        1 .. depth with d^k dividing its index, a stride of rows per k."""
+        supp = np.full(self.values.size, self.depth, dtype=np.int16)
+        for k in range(1, self.depth + 1):
+            step = self.d ** k
+            supp[-self.offset % step::step] -= 1
         return supp
 
     def digits_of(self, index):
@@ -932,27 +909,16 @@ def check_hypothesis1(sys):
     )
 
 
-def _shell_minima(sweep):
-    """Least |value| of each support shell of a sweep, inf where it has no
-    row; a nan value makes its shell's nan."""
-    least = np.full(sweep.depth + 1, np.inf)
-    for s, rows in sweep.shells(sweep.values):
-        if rows.size:
-            least[s] = np.minimum(least[s], np.abs(rows).min())
-    return least
-
-
-def _floor_of_minima(least, a_abs):
-    """min over supports s >= 1 of least[s] |a|^-s (_shell_minima)."""
-    scale = a_abs ** -np.arange(least.size, dtype=np.float64)
-    return float(np.min(least[1:] * scale[1:]))
-
-
 def growth_floor(sweep, a_abs):
-    """Empirical growth-floor constant: min |value| |a|^-support, support >= 1."""
+    """Empirical growth-floor constant: min |value| |a|^-support over the
+    rows of support >= 1, inf if there is none; a nan value makes it nan."""
     if sweep.depth < 1:
         raise ValueError("sweep holds no address with support >= 1")
-    return _floor_of_minima(_shell_minima(sweep), a_abs)
+    supp = sweep.support
+    rows = supp >= 1
+    scale = a_abs ** -np.arange(sweep.depth + 1, dtype=np.float64)
+    return float(np.min(np.abs(sweep.values[rows]) * scale[supp[rows]],
+                        initial=np.inf))
 
 
 def geometric_tail(c_est, d, a_abs, start_support, m):

@@ -118,9 +118,10 @@ def _write_rows(fh, sweep, w=None, pref=None, flags=False):
     """Write one CSV row per address of `sweep`, BLOCK_ROWS rows per write.
 
     A row holds the address, the anchor w when given (invert's w_re,w_im),
-    re, im, terms_used, tail_estimate, then the row's entry of `pref`
-    (invert's prefactor_exponent) when given and, with `flags`, the
-    converged column. Each float is printed as format(x, ".17g") prints it.
+    re, im, terms_used, tail_estimate, then, with w, invert's
+    prefactor_exponent (the row's entry of `pref`, or empty where pref is
+    None) and, with `flags`, the converged column. Each float is printed as
+    format(x, ".17g") prints it.
     A block is one uint8 matrix of NUL-padded fields (spzeros.fields),
     written with its NULs deleted.
     """
@@ -139,9 +140,11 @@ def _write_rows(fh, sweep, w=None, pref=None, flags=False):
         fields = [digit_fields(idx, sweep.d, sweep.depth), lead,
                   floats[:n], _COMMA, floats[n:2 * n], _COMMA,
                   int_fields(sweep.terms_used[lo:hi]), _COMMA, floats[2 * n:]]
+        if w is not None:
+            fields.append(_COMMA)
         if pref is not None:
-            fields += [_COMMA, np.array(pref[lo:hi], dtype="S")
-                       .view(np.uint8).reshape(n, -1)]
+            fields.append(np.array(pref[lo:hi], dtype="S")
+                          .view(np.uint8).reshape(n, -1))
         if flags:
             fields.append(np.where(sweep.converged[lo:hi, None],
                                    _TRUE, _FALSE))
@@ -233,13 +236,14 @@ def _hypothesis_gate(sys_):
 
 
 def _prefactor_exponents(sys_, w, N):
-    """invert's prefactor_exponent column, padded-index order, as bytes. At
-    w = b it is the m of a row's a^m ladder prefactor, its address's leading
-    zeros plus one: N - K + 1 on index segment [d^(K-1), d^K). Index 0, the
-    solution 0, and every row of any other anchor, are empty."""
+    """invert's prefactor_exponent column, padded-index order, as bytes, or
+    None at any anchor but w = b, whose rows leave it empty. At w = b it is
+    the m of a row's a^m ladder prefactor, its address's leading zeros plus
+    one: N - K + 1 on index segment [d^(K-1), d^K); index 0, the solution 0,
+    is empty."""
     d = sys_.d
     if abs(w - sys_.b) > W_NEAR_B:
-        return np.zeros(d ** N, "S1")
+        return None
     labels = [b""] + [b"%d" % (N - K + 1) for K in range(1, N + 1)]
     counts = [1] + [d ** K - d ** (K - 1) for K in range(1, N + 1)]
     return np.repeat(np.array(labels), counts)

@@ -18,8 +18,6 @@ from . import dd
 from .branches import (
     UNIT_ROUNDOFF,
     W_NEAR_B,
-    _floor_of_minima,
-    _shell_minima,
     _sweep_chunks,
     geometric_tail,
     growth_floor,
@@ -225,9 +223,9 @@ def moment_sums(sys, orders, w, max_support):
 
     Every order is checked first (_check_order). The sweep is never held:
     each chunk of _sweep_chunks, its rows final, is reduced as it comes,
-    through the views of BranchSweep.shells at its offset. Per order and
-    shell the terms and their noise go into exact sums (ExactSums), and per
-    shell the least |g_sigma| into the growth floor. So every shell sum is
+    keyed by the support of each row (BranchSweep.support). Per order and
+    shell the terms and their noise go into exact sums (ExactSums), and the
+    growth floor is the least of the chunks' floors. So every shell sum is
     exactly rounded, whatever the chunks, and the shells accumulate in
     ascending support order.
     """
@@ -239,7 +237,7 @@ def moment_sums(sys, orders, w, max_support):
     shells = N + 1
     term_sums = [ExactSums(2 * shells) for _ in orders]
     noise_sums = [ExactSums(shells) for _ in orders]
-    least = np.full(shells, np.inf)
+    c_est = np.inf
     for chunk in _sweep_chunks(sys, w, N):
         support = chunk.support.astype(np.intp)
         # Key 2s holds the real parts of shell s, key 2s + 1 the imaginary.
@@ -263,8 +261,9 @@ def moment_sums(sys, orders, w, max_support):
             noise *= m
             noise *= rel
             noise_sum.add(support, noise)
-        np.minimum(least, _shell_minima(chunk), out=least)
-    c_est = _floor_of_minima(least, abs(sys.a))
+        # np.minimum, unlike min, keeps a nan floor whatever the order.
+        c_est = np.minimum(c_est, growth_floor(chunk, abs(sys.a)))
+    c_est = float(c_est)
     return [_moment_report(sys, m, w, N, c_est, term_sum.sums(),
                            noise_sum.sums())
             for m, term_sum, noise_sum in zip(orders, term_sums, noise_sums)]

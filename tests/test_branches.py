@@ -223,9 +223,9 @@ def _sweeps(sys, depth):
 
 
 def test_supports_match_digit_addresses():
-    # The shells, strided views of padded-index order, against the digit
-    # strings, with offset 0 (anchor and w = b sweeps) and the ladder
-    # offset d^(depth - 1), for d = 2, 3 and 11; support is read off them.
+    # The support of every row against the length of its digit string, with
+    # offset 0 (anchor and w = b sweeps) and the ladder offset d^(depth - 1),
+    # for d = 2, 3 and 11; it is derived from the index, not stored.
     wide = system_from_spec(WIDE)
     cases = ([(chebyshev_system(), n) for n in (1, 2, 9)]
              + [(cubic_system(), n) for n in (1, 2, 6)]
@@ -234,17 +234,7 @@ def test_supports_match_digit_addresses():
         for sweep in _sweeps(sys, depth):
             assert sweep.offset == (0 if sweep.anchor is not None
                                     else sys.d ** (depth - 1))
-            idx = sweep.indices()
-            want = [len(sweep.digits_of(i)) for i in idx]
-            seen = []
-            for s, rows in sweep.shells(idx):
-                assert rows.size == 0 or np.shares_memory(rows, idx)
-                got = rows.ravel().tolist()
-                assert got == sorted(got)
-                assert all(want[i - sweep.offset] == s for i in got)
-                seen += got
-            assert sorted(seen) == idx.tolist()
-            assert [s for s, _ in sweep.shells(idx)] == list(range(depth + 1))
+            want = [len(sweep.digits_of(i)) for i in sweep.indices()]
             assert sweep.support.dtype == np.int16
             assert sweep.support.tolist() == want
     assert "support" not in {f.name for f in dataclasses.fields(sweep)}
@@ -262,11 +252,20 @@ def _support_by_valuation(j, d, depth):
     return depth - zeros
 
 
+def _chunk(d, depth, offset, values):
+    """A BranchSweep of the given values over indices from offset."""
+    size = values.size
+    return branches.BranchSweep(
+        depth=depth, d=d, anchor=0j, offset=offset, values=values,
+        terms_used=np.zeros(size, dtype=np.int64),
+        tail_estimate=np.zeros(size), converged=np.ones(size, bool))
+
+
 @pytest.mark.parametrize("d, depth", [(2, 8), (3, 5), (11, 3)])
 def test_shells_at_any_offset_match_valuation(d, depth):
-    # Index ranges from any offset, as the chunks of a sweep hold them: the
-    # views cover each index once, under the support its d-adic valuation
-    # gives, in index order, and a shell comes in at most three views.
+    # Index ranges from any offset, as the chunks of a sweep hold them:
+    # every row's support is the one its d-adic valuation gives, and the
+    # length of its digit string.
     rng = np.random.default_rng(d)
     total = d ** depth
     ranges = [(0, total), (0, 1), (1, total - 1), (total - 1, 1),
@@ -275,38 +274,32 @@ def test_shells_at_any_offset_match_valuation(d, depth):
         offset = int(rng.integers(0, total))
         ranges.append((offset, int(rng.integers(0, total - offset + 1))))
     for offset, size in ranges:
-        idx = np.arange(offset, offset + size, dtype=np.int64)
-        chunk = branches.BranchSweep(
-            depth=depth, d=d, anchor=0j, offset=offset,
-            values=np.zeros(size, dtype=np.complex128),
-            terms_used=np.zeros(size, dtype=np.int64),
-            tail_estimate=np.zeros(size), converged=np.ones(size, bool))
-        views = list(chunk.shells(idx))
-        supports = [s for s, _ in views]
-        assert sorted(set(supports)) == list(range(depth + 1))
-        assert supports == sorted(supports)
-        assert max(supports.count(s) for s in supports) <= 3
-        seen = []
-        for s, rows in views:
-            assert rows.size == 0 or np.shares_memory(rows, idx)
-            got = rows.ravel().tolist()
-            assert all(_support_by_valuation(j, d, depth) == s for j in got)
-            seen += got
-        assert seen == sorted(seen, key=lambda j: (
-            _support_by_valuation(j, d, depth), j))
-        assert sorted(seen) == idx.tolist(), (offset, size)
-        assert chunk.support.tolist() == [
-            _support_by_valuation(j, d, depth) for j in idx.tolist()]
+        chunk = _chunk(d, depth, offset, np.zeros(size, dtype=np.complex128))
+        idx = range(offset, offset + size)
+        supp = chunk.support
+        assert supp.dtype == np.int16
+        assert supp.tolist() == [
+            _support_by_valuation(j, d, depth) for j in idx], (offset, size)
+        assert supp.tolist() == [len(chunk.digits_of(j)) for j in idx]
+
+
+def _support_by_digits(sweep):
+    """Support of every row, from the base-d digits of its padded index,
+    least significant first: depth less the run of trailing zero digits."""
+    j = sweep.indices()
+    supp = np.full(j.size, sweep.depth)
+    trailing = np.ones(j.size, dtype=bool)
+    for _ in range(sweep.depth):
+        j, digit = np.divmod(j, sweep.d)
+        trailing &= digit == 0
+        supp -= trailing
+    return supp
 
 
 def _floor_by_masks(sweep, a_abs):
     """growth_floor by masks over the support of every row: min |value|
-    |a|^-support over support >= 1. Supports are depth minus the trailing
-    base-d zeros of the index, counted by strides."""
-    supp = np.full(sweep.values.size, sweep.depth, dtype=np.int16)
-    for k in range(1, sweep.depth + 1):
-        step = sweep.d ** k
-        supp[(-sweep.offset) % step::step] -= 1
+    |a|^-support over support >= 1, the supports from the index digits."""
+    supp = _support_by_digits(sweep)
     mask = supp >= 1
     scaled = np.abs(sweep.values[mask]) * a_abs ** (-supp[mask]
                                                    .astype(np.float64))
@@ -334,6 +327,51 @@ def test_growth_floor_matches_masked_reference_over_chunks():
     sweep = sweep_products(sys, 0j, 18)
     assert growth_floor(sweep, abs(sys.a)) == _floor_by_masks(sweep,
                                                               abs(sys.a))
+
+
+def test_growth_floor_edge_cases():
+    # By hand at d = 2, depth 3, supports 0 3 2 3 1 3 2 3: index 0 (support
+    # 0, the value 0 of a w = b sweep) never enters the floor, whatever its
+    # value, and a nan anywhere else makes the floor nan.
+    a_abs = 1.5
+    values = np.array([0, 4, 2j, -5, 1 + 1j, 4, 7, 4 + 4j])
+    sweep = _chunk(2, 3, 0, values)
+    assert sweep.support.tolist() == [0, 3, 2, 3, 1, 3, 2, 3]
+    want = min(abs(v) * a_abs ** -float(s)
+               for v, s in zip(values[1:], sweep.support[1:]))
+    assert growth_floor(sweep, a_abs) == want == 2 * a_abs ** -2.0
+    for at_zero in (np.nan, 1e-300):
+        first = values.copy()
+        first[0] = at_zero
+        assert growth_floor(_chunk(2, 3, 0, first), a_abs) == want
+    for j in range(1, values.size):
+        spoiled = values.copy()
+        spoiled[j] = complex(np.nan, 0)
+        assert np.isnan(growth_floor(_chunk(2, 3, 0, spoiled), a_abs)), j
+    assert growth_floor(_chunk(2, 3, 0, values[:1]), a_abs) == np.inf
+
+
+def test_growth_floor_of_chunks_cut_inside_runs():
+    # Cubic at depth 6 (d = 3) cut at offsets off the multiples of 3: the
+    # least of the chunks' floors, taken with np.minimum, is the held
+    # sweep's floor bit for bit, in any order.
+    sys = cubic_system()
+    a_abs = abs(sys.a)
+    for sweep in _sweeps(sys, 6):
+        held = growth_floor(sweep, a_abs)
+        rng = np.random.default_rng(3)
+        cuts = np.unique(np.concatenate([
+            [1, 2, 4, 3 ** 5 + 1],
+            rng.integers(1, sweep.values.size, 20)]))
+        cuts = cuts[cuts < sweep.values.size]
+        assert np.any((cuts + sweep.offset) % 3)
+        floors = [growth_floor(_chunk(3, 6, sweep.offset + lo,
+                                      sweep.values[lo:hi]), a_abs)
+                  for lo, hi in zip([0, *cuts], [*cuts, sweep.values.size])]
+        least = np.inf
+        for floor in floors[::-1]:
+            least = np.minimum(least, floor)
+        assert least == held == min(floors)
 
 
 def test_solutions_at_fixed_point_ladder():

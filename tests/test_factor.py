@@ -403,11 +403,17 @@ def _moment_by_sorting(sys, m, w, depth):
     """moment_sum by one stable argsort of the supports, on the same cached
     sweep: the shells are contiguous runs of the sorted terms, fsum'd run
     by run, their noise summed by reduceat, and the floor a masked minimum.
-    Returns the fields of MomentReport that the shells feed."""
+    A row's support is depth less the trailing zeros of its index, counted
+    by dividing it by d. Returns the fields of MomentReport that the shells
+    feed."""
     sweep = _anchor_sweep(sys, w, depth)
     supp = np.full(sweep.values.size, depth, dtype=np.int16)
-    for k in range(1, depth + 1):
-        supp[::sys.d ** k] -= 1
+    j = np.arange(sweep.values.size)
+    trailing = np.ones(j.size, dtype=bool)
+    for _ in range(depth):
+        j, digit = np.divmod(j, sys.d)
+        trailing &= digit == 0
+        supp -= trailing
     order = np.argsort(supp, kind="stable")
     edges = np.searchsorted(supp[order], np.arange(depth + 2)).tolist()
     terms = ((w - sys.b) / sweep.values[order]) ** m
@@ -479,3 +485,30 @@ def test_moment_sums_hold_no_sweep():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_moment_sums_take_the_floor_once_per_chunk(monkeypatch):
+    # moment_sums looks growth_floor up in factor once per chunk, where the
+    # benchmark's tracer wraps it, and its tail bound rests on the least of
+    # those floors: golden at depth 16 in four chunks.
+    sys = golden_system()
+    offsets = [c.offset for c in branches._sweep_chunks(sys, 0j, 16)]
+    assert len(offsets) > 1
+    plain = moment_sums(sys, (1, 2), 0j, 16)
+    calls, floors = [], []
+    real = factor.growth_floor
+
+    def counted(sweep, a_abs):
+        calls.append(sweep.offset)
+        floors.append(real(sweep, a_abs))
+        return floors[-1]
+
+    monkeypatch.setattr(factor, "growth_floor", counted)
+    reports = moment_sums(sys, (1, 2), 0j, 16)
+    assert calls == offsets
+    assert reports == plain
+    least = min(floors)
+    assert least == real(_anchor_sweep(sys, 0j, 16), abs(sys.a))
+    for m, rep in zip((1, 2), reports):
+        assert rep.tail_bound == abs(sys.b) ** m * branches.geometric_tail(
+            least, sys.d, abs(sys.a), 17, m)

@@ -96,6 +96,11 @@ def test_invert_rows_match_reference(d, depth, offset, w):
     assert [parsed_digits(r[0], d) for r in rows] == \
         [sweep.digits_of(i) for i in sweep.indices()]
     assert [r[7] for r in rows] == pref
+    # Away from w = b invert passes no prefactor column: the field is empty.
+    empty = [""] * sweep.values.size
+    text = block_rows(sweep, w=w, flags=True)
+    assert text == reference_rows(sweep, w=w, pref=empty, flags=True)
+    assert [r[7] for r in csv.reader(io.StringIO(text))] == empty
 
 
 def test_rows_cross_a_block_boundary():
