@@ -60,12 +60,13 @@ tie rule puts first, for any other P column 0 of the inverse step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
-inverse_branch, g0_and_derivative) run it on a one-node array, and their
-n_cap counts prefix and tail factors together. The principal steps of the
-tail, of the Koenigs sample and of the Hypothesis-1 probe are one walker,
-_principal_orbit, which stops each orbit on entering a disc: radius r_s,
-delta/4 and delta. Every product reads its truncation settings,
-sys.product_tolerance and sys.n_cap, from the system.
+inverse_branch, g0_and_derivative) run it on a one-node array and scale as
+the sweep does: each is its address's row of sweep_products, bit for bit.
+The principal steps of the tail, of the Koenigs sample and of the
+Hypothesis-1 probe are one walker, _principal_orbit, which stops each orbit
+on entering a disc: radius r_s, delta/4 and delta. Every product reads its
+truncation settings, sys.product_tolerance and sys.n_cap (which caps the
+tail factors alone), from the system.
 The derivative of the principal inverse is g_0'(w) = 1 / f'(g_0(w)).
 
 There is one sweep generator, _sweep_chunks: it expands and tails one
@@ -76,11 +77,19 @@ write the chunks in place into one held sweep (_joined); the momentum
 sums reduce them as they come instead (factor.moment_sums). A row's
 support is read off its padded index, one stride per power of d
 (BranchSweep.support), and the growth floor is one masked minimum over it.
+
+Every complex array product is np.multiply(left, right) into a fresh
+array, never in place and never an operator on an unnamed temporary: numpy
+multiplies a one-element array in place without fused multiply-add, and an
+operator product on a temporary of 256 KiB or more in that temporary with
+the operands swapped, while a fused complex product depends on their order.
+(Division, sqrt, sums, abs and ** round alike at any size.) So a row's bits
+do not depend on the size of the array it is computed in, or CHUNK_LEAVES.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -282,14 +291,13 @@ def _principal_quotient(sys, v, s0):
     takes. Since rho^d - 1 = y, this is t_b (rho - 1) without the
     cancellation of forming it near b; at the critical value, y = -1 and
     rho = 0, it is exactly -t_b. The caller's temporary s0 is overwritten.
-    Products are not formed in place (eval_array).
     """
     rho = np.divide(s0, sys.t_b, out=s0)
     acc = np.add(rho, 1.0, out=rho if sys.d == 2 else None)
     for _ in range(sys.d - 2):
-        acc = acc * rho
+        acc = np.multiply(acc, rho)
         acc += 1.0
-    out = sys.t_b * (v / sys.kappa)
+    out = np.multiply(sys.t_b, v / sys.kappa)
     out /= acc
     return out
 
@@ -464,20 +472,16 @@ def _conjugate_newton(sys, v):
     mag = np.abs(v)
     floor = NEWTON_RESIDUAL * mag
     # Written as "not within" so that a NaN counts as above the floor.
-    for _ in range(NEWTON_CAP):
+    for k in range(NEWTON_CAP + 1):
         res = sys.V.eval_array(x)
         res -= v
         above = ~(np.abs(res) <= floor)
-        if not above.any():
+        if k == NEWTON_CAP or not above.any():
             break
         d = dV.eval_array(x)
         d[d == 0] = 1e-300
         res /= d
         x -= res
-    else:
-        res = sys.V.eval_array(x)
-        res -= v
-        above = ~(np.abs(res) <= floor)
     return x, above | ~(np.abs(x) <= mag)
 
 
@@ -558,7 +562,7 @@ def _series(ell, v):
     """S(v) = L(v) / v = sum_m l_m v^(m-1), by Horner's rule."""
     s = np.full(v.shape, ell[-1])
     for coeff in ell[-2::-1]:
-        s *= v
+        s = np.multiply(s, v)
         s += coeff
     return s
 
@@ -614,7 +618,7 @@ def relative_error(tail_estimate, terms_used):
     return tail_estimate + terms_used * UNIT_ROUNDOFF
 
 
-def _tail_products(sys, v, cap):
+def _tail_products(sys, v):
     """The principal tail of every deviation: L(v), the product of its
     tail factors times v.
 
@@ -622,26 +626,27 @@ def _tail_products(sys, v, cap):
     _principal_orbit until |v_K| < r_s (_koenigs_data), then one series
     evaluation: L(v) = a^K L(v_K) = a^K v_K S(v_K). steps counts the
     factors, K steps and the series. tail_estimate is the series'
-    truncation bound at |v_K|. A leaf still outside the disc after cap - 1
-    steps (cap: sys.n_cap less any digit prefix) is flagged unconverged; it
+    truncation bound at |v_K|. sys.n_cap caps the tail factors: a leaf
+    still outside the disc after n_cap - 1 steps is flagged unconverged; it
     takes the series where it stands inside the contraction ball, and
     beyond it, where the series may diverge, keeps the partial product
-    a^K v_K. The tail is v itself, overwritten in place: every caller
-    passes leaves of its own, which it reads no more.
+    a^K v_K. v is overwritten: every caller passes leaves of its own,
+    which it reads no more.
     """
     delta = contraction_delta(sys)
     ell, kappa, r_s = _koenigs_data(sys)
-    last, count, work = _principal_orbit(sys, v, r_s, cap - 1)
-    converged = np.full(v.size, cap >= 1)
+    last, count, work = _principal_orbit(sys, v, r_s, sys.n_cap - 1)
+    converged = np.full(v.size, sys.n_cap >= 1)
     converged[work] = False
     mag = np.abs(last)
     ball = mag < delta
     if ball.all():
-        last *= _series(ell, last)
+        last = np.multiply(last, _series(ell, last))
     else:
-        last[ball] *= _series(ell, last[ball])
-    last *= sys.a ** np.arange(count.max(initial=0) + 1)[count]
-    return last, count + 1, _series_bound(kappa, delta, mag), converged
+        last[ball] = np.multiply(last[ball], _series(ell, last[ball]))
+    scale = sys.a ** np.arange(count.max(initial=0) + 1)
+    return (np.multiply(last, scale[count]), count + 1,
+            _series_bound(kappa, delta, mag), converged)
 
 
 @dataclass(frozen=True)
@@ -678,14 +683,15 @@ class BranchSweep:
     def indices(self):
         return np.arange(self.values.size, dtype=np.int64) + self.offset
 
-    @property
+    @cached_property
     def support(self):
-        """Support of each row's address: depth less the number of k in
-        1 .. depth with d^k dividing its index, a stride of rows per k."""
+        """Support of each row's address, built once and read-only: depth
+        less the number of k in 1 .. depth with d^k dividing its index."""
         supp = np.full(self.values.size, self.depth, dtype=np.int16)
         for k in range(1, self.depth + 1):
             step = self.d ** k
             supp[-self.offset % step::step] -= 1
+        supp.setflags(write=False)
         return supp
 
     def digits_of(self, index):
@@ -709,7 +715,8 @@ def _rungs(sys, N, start, values, steps, est, conv):
     for K in range(1, N + 1):
         lo, hi = np.clip([sys.d ** (K - 1) - start, sys.d ** K - start],
                          0, values.size)
-        values[lo:hi] = sys.a ** (N - K) * (sys.a ** K * values[lo:hi])
+        values[lo:hi] = np.multiply(sys.a ** (N - K),
+                                    np.multiply(sys.a ** K, values[lo:hi]))
         steps[lo:hi] += K
     if start == 0:
         values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
@@ -743,13 +750,11 @@ def _sweep_chunks(sys, w, depth):
         for _ in range(levels):
             cv = _expand_level(sys, cv)
         start = offset + lo * sys.d ** levels
-        values, steps, est, conv = _tail_products(sys, cv, sys.n_cap)
+        values, steps, est, conv = _tail_products(sys, cv)
         if at_b:
             _rungs(sys, N, start, values, steps, est, conv)
         else:
-            # numpy's complex a * t and t * a can differ in the last bits:
-            # keep the scalar on the left; out= scales in place.
-            np.multiply(sys.a ** N, values, out=values)
+            values = np.multiply(sys.a ** N, values)
             steps += N
         yield BranchSweep(depth=N, d=sys.d, anchor=w, offset=start,
                           values=values, terms_used=steps, tail_estimate=est,
@@ -806,60 +811,54 @@ def sweep_solutions_at_b(sys, max_support):
                    (sys.d - 1) * sys.d ** (max_support - 1))
 
 
-def _address_product(sys, digits, v0, label):
-    """One address on the sweep kernel, from the start deviation v0.
+def _address_product(sys, sigma, w, label):
+    """Row index(sigma) of sweep_products(sys, w, support(sigma)), alone.
 
     Each digit expands the single node with _expand_level and keeps the
-    child it names; the principal tail then gets the factors of sys.n_cap
-    the prefix left over, so n_cap counts prefix and tail factors together.
+    child it names; the tail and the scaling are the sweep's, a^N L(v_leaf)
+    with N digits. At the degenerate anchor it is the rung rule (_rungs):
+    the z leading zeros are stripped, the K digits left walked from v = 0,
+    and the row is a^z (a^K L(v_leaf)) with K prefix factors.
     """
+    if not isinstance(sigma, SigmaSequence):
+        sigma = SigmaSequence.from_digits(tuple(sigma))
+    digits = sigma.digits
     for dig in digits:
         if dig >= sys.d:
             raise InvalidIndices(
                 f"digit {dig} out of range for degree {sys.d}")
+    v0 = complex(w) - sys.b
+    at_b = abs(v0) <= W_NEAR_B
+    if at_b:
+        if not digits:
+            return BranchProduct(value=0j, terms_used=0, tail_estimate=0.0,
+                                 converged=True)
+        zeros = sigma.first_nonzero() - 1
+        digits, v0 = digits[zeros:], 0j
     v = np.array([v0], dtype=np.complex128)
     for dig in digits:
         v = _expand_level(sys, v)[dig:dig + 1]
-    prefix = len(digits)
-    tail, steps, est, conv = _tail_products(sys, v, sys.n_cap - prefix)
+    tail, steps, est, conv = _tail_products(sys, v)
     if not conv[0]:
         raise NonConvergence(f"{label}: tail stopping rule unmet after "
-                             f"{sys.n_cap} factors")
-    return BranchProduct(value=complex(sys.a ** prefix * tail[0]),
-                         terms_used=prefix + int(steps[0]),
+                             f"{sys.n_cap} tail factors")
+    value = np.multiply(sys.a ** len(digits), tail)
+    if at_b:
+        value = np.multiply(sys.a ** zeros, value)
+    return BranchProduct(value=complex(value[0]),
+                         terms_used=len(digits) + int(steps[0]),
                          tail_estimate=float(est[0]), converged=True)
 
 
-def _as_sigma(sigma):
-    """Coerce a digit iterable to a canonical SigmaSequence."""
-    if isinstance(sigma, SigmaSequence):
-        return sigma
-    return SigmaSequence.from_digits(tuple(sigma))
-
-
 def zero_product(sys, sigma):
-    """Zero of f addressed by sigma, via the orbit walk started at w = 0."""
-    sigma = _as_sigma(sigma)
-    return _address_product(sys, sigma.digits, -sys.b, "zero_product")
+    """Zero of f addressed by sigma: inverse_branch at w = 0."""
+    return _address_product(sys, sigma, 0j, "zero_product")
 
 
 def inverse_branch(sys, sigma, w):
-    """Solution of f(z) = w addressed by sigma.
-
-    The walk starts from the deviation w - b and handles the degenerate
-    anchor w = b transparently: leading zero digits hold v = 0 in place
-    (Q(b) = a) and the first nonzero digit jumps to a preimage label of b
-    itself.
-    """
-    sigma = _as_sigma(sigma)
-    w = complex(w)
-    v0 = w - sys.b
-    if abs(v0) <= W_NEAR_B:
-        if sigma.support == 0:
-            return BranchProduct(value=0j, terms_used=0, tail_estimate=0.0,
-                                 converged=True)
-        v0 = 0j
-    return _address_product(sys, sigma.digits, v0, "inverse_branch")
+    """Solution of f(z) = w addressed by sigma: row index(sigma) of
+    sweep_products(sys, w, support(sigma)), bit for bit, at w = b too."""
+    return _address_product(sys, sigma, w, "inverse_branch")
 
 
 def g0_and_derivative(sys, w):
@@ -872,7 +871,7 @@ def g0_and_derivative(sys, w):
     w = complex(w)
     if abs(w - sys.b) <= W_NEAR_B:
         return 0j, 1.0 + 0j
-    g = _address_product(sys, (), w - sys.b, "g0").value
+    g = _address_product(sys, (), w, "g0").value
     slope = complex(_eval_f_with_slope(sys, g)[1])
     if slope == 0:
         raise ZeroDenominator("g0: f' vanishes at g0(w)")

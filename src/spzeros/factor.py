@@ -119,7 +119,7 @@ def _ladder_sums(sys, max_support):
     power = np.ones_like(inv)
     series = []
     for m in range(1, LADDER_TERMS + 1):
-        power *= inv
+        power = np.multiply(power, inv)
         series.append(complex(np.sum(power)) / (1.0 - sys.a ** (-m)) / m)
     # Roundings in units of u, relative to sum_m |z'|^m sum |base|^-m /
     # (m (1 - |a|^-m)): at most 3 per complex operation, so 3 (M + 2) for a

@@ -221,7 +221,8 @@ def _eval_f_with_slope(sys, z):
         slope = np.ones_like(z)
         for _ in range(depth):
             if with_slope:
-                slope = slope * (dV.eval_array(dd.cdd_collapse(v)) / sys.a)
+                slope = np.multiply(
+                    slope, dV.eval_array(dd.cdd_collapse(v)) / sys.a)
             v = dd.cdd_horner(coeffs, v)
             if not np.all(np.abs(v[0]) + np.abs(v[2]) <= OVERFLOW_LIMIT):
                 raise NonConvergence(f"orbit overflow at depth {depth}")

@@ -57,6 +57,12 @@ QUARTIC = ProblemSpec(coefficients=(-1 + 0.2j, 0j, 0.3 + 0j, 0j, 1 + 0j),
                       fixed_point_hint=1.5 + 0j, max_support=6,
                       product_tolerance=1e-12, n_cap=200,
                       root_tolerance=1e-13)
+# z^2 + (-1 + 0.3i): unicritical, with complex a and t_b, so its complex
+# products round by the order of their operands.
+COMPLEX_QUADRATIC = ProblemSpec(coefficients=(-1 + 0.3j, 0j, 1 + 0j),
+                                fixed_point_hint=1.6 + 0j, max_support=6,
+                                product_tolerance=1e-12, n_cap=200,
+                                root_tolerance=1e-13)
 # z^3 - z + 1 (b = 1, a = 2): not unicritical, with d = 3 > |a|.
 Z3 = ProblemSpec(coefficients=(1 + 0j, -1 + 0j, 0j, 1 + 0j),
                  fixed_point_hint=1 + 0j, max_support=4,
@@ -186,9 +192,43 @@ def test_zero_product_rejects_bad_digits():
 
 
 def test_zero_product_reports_nonconvergence():
-    sys = dataclasses.replace(chebyshev_system(), n_cap=3)
+    # The tail of (1, 1) takes three factors, two steps and the series.
+    sys = dataclasses.replace(chebyshev_system(), n_cap=2)
     with pytest.raises(NonConvergence):
         zero_product(sys, SigmaSequence((1, 1)))
+
+
+def _row_index(digits, d):
+    """Padded index of an address in the sweep of depth its support."""
+    return sum(dig * d ** k for k, dig in enumerate(reversed(digits)))
+
+
+def _is_row(product, sweep, index):
+    """product is row `index` of sweep, byte for byte."""
+    assert (np.array([product.value]).tobytes()
+            == sweep.values[index:index + 1].tobytes())
+    assert product.terms_used == sweep.terms_used[index]
+    assert (np.float64(product.tail_estimate).tobytes()
+            == sweep.tail_estimate[index].tobytes())
+    assert product.converged and sweep.converged[index]
+
+
+def test_single_products_are_sweep_rows():
+    # A single product runs the sweep's kernel on a one-node array with the
+    # sweep's scaling, so it is its own row in value, terms_used and
+    # tail_estimate: for real and complex a and t_b, on the closed-form and
+    # the root-solver route, and at w = b, where it takes the rung rule.
+    for sys in (golden_system(), chebyshev_system(), cubic_system(),
+                system_from_spec(COMPLEX_QUADRATIC), system_from_spec(QUARTIC)):
+        top = 5 if sys.d == 2 else 3
+        for w in (0j, 0.3 + 0.2j, -2 + 0j, sys.b):
+            sweeps = [sweep_products(sys, w, n) for n in range(top + 1)]
+            for sigma in enumerate_sigma(sys.d, top):
+                sweep = sweeps[sigma.support]
+                index = _row_index(sigma.digits, sys.d)
+                _is_row(inverse_branch(sys, sigma, w), sweep, index)
+                if w == 0:
+                    _is_row(zero_product(sys, sigma), sweep, index)
 
 
 def test_sweep_matches_scalar_products():
@@ -415,6 +455,8 @@ def _ladder_table(sys, depth):
     ("golden.json", None), ("golden.json", 18),
     ("cubic6.json", None), ("cubic6.json", 12),
     pytest.param(QUARTIC, None, id="quartic"),
+    pytest.param(COMPLEX_QUADRATIC, None, id="complex-quadratic"),
+    pytest.param(COMPLEX_QUADRATIC, 16, id="complex-quadratic-16"),
 ])
 def test_sweep_at_b_matches_ladder_rungs(problem, depth):
     # One sweep from v = 0 holds every depth-K ladder sweep, bit for bit:
@@ -564,18 +606,29 @@ def _in_chunks(monkeypatch, leaves, run):
 def test_sweep_independent_of_chunk_size(monkeypatch):
     # Golden's anchored and w = b sweeps at depth 17 and its ladder sweep
     # at depth 18 span eight default chunks each, cubic's at depth 11
-    # fourteen. Chunks of 2^12 leaves split them further and chunks of 2^20
-    # hold each whole, with the same bits.
+    # fourteen, and those of z^2 + (-1 + 0.3i), whose a and t_b are
+    # complex, at depth 16 two to four. Chunks of 2^12 leaves split them
+    # further and chunks of 2^20 hold each whole, with the same bits. In
+    # one-leaf chunks every product of the kernel runs on a one-element
+    # array, with the same bits too.
     golden, cubic = golden_system(), cubic_system()
+    quad = system_from_spec(COMPLEX_QUADRATIC)
     runs = (lambda: sweep_products(golden, -2 + 0.5j, 17),
             lambda: sweep_products(golden, golden.b, 17),
             lambda: sweep_solutions_at_b(golden, 18),
-            lambda: sweep_products(cubic, 0j, 11))
+            lambda: sweep_products(cubic, 0j, 11),
+            lambda: sweep_products(quad, 0.3 + 0.2j, 16),
+            lambda: sweep_products(quad, quad.b, 16),
+            lambda: sweep_solutions_at_b(quad, 16))
     for run in runs:
         default = run()
         assert default.values.size > branches.CHUNK_LEAVES
         for leaves in (1 << 12, 1 << 20):
             _same_bits(_in_chunks(monkeypatch, leaves, run), default)
+    for sys, depth in ((golden, 10), (cubic, 6), (quad, 10)):
+        one_leaf = _in_chunks(monkeypatch, 1, lambda: _sweeps(sys, depth))
+        for one, default in zip(one_leaf, _sweeps(sys, depth)):
+            _same_bits(one, default)
 
 
 def test_leaf_chunks_start_where_the_last_ended(monkeypatch):
@@ -632,7 +685,7 @@ def test_sweep_kernel_working_memory():
     try:
         for _ in range(14):
             v = branches._expand_level(sys, v)
-        branches._tail_products(sys, v, sys.n_cap)
+        branches._tail_products(sys, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -718,14 +771,25 @@ def test_g0_and_derivative_chebyshev_oracle(w):
     assert abs(dg - want_dg) <= 1e-12 * abs(want_dg)
 
 
-def test_n_cap_counts_prefix_and_tail_factors():
+def test_n_cap_caps_tail_factors():
+    # n_cap caps a product's tail factors, its digit prefix aside, in a
+    # sweep row and a single product alike: at every cap the single product
+    # converges exactly when its row does, and then it is that row. A long
+    # prefix takes no factor of the cap.
     sys = chebyshev_system()
     for digits in ((1, 1), (0, 0, 1), ()):
-        used = zero_product(sys, digits).terms_used
-        capped = dataclasses.replace(sys, n_cap=used)
-        assert zero_product(capped, digits).terms_used == used
-        with pytest.raises(NonConvergence):
-            zero_product(dataclasses.replace(sys, n_cap=used - 1), digits)
+        tail = zero_product(sys, digits).terms_used - len(digits)
+        index = _row_index(digits, 2)
+        for n_cap in range(1, tail + 2):
+            capped = dataclasses.replace(sys, n_cap=n_cap)
+            sweep = sweep_products(capped, 0j, len(digits))
+            assert sweep.converged[index] == (n_cap >= tail)
+            if n_cap >= tail:
+                _is_row(zero_product(capped, digits), sweep, index)
+            else:
+                with pytest.raises(NonConvergence):
+                    zero_product(capped, digits)
+    assert zero_product(golden_system(), (1,) * 199).converged
 
 
 # The principal step against an independent reference: b and the Taylor
@@ -967,9 +1031,9 @@ def test_product_settings_reach_every_product(monkeypatch, tmp_path):
     tails = branches._tail_products
     evaluate = system._eval_f_with_slope
 
-    def tail_recording(sys_, v, cap):
-        seen.append(("tail", sys_.product_tolerance, cap))
-        return tails(sys_, v, cap)
+    def tail_recording(sys_, v):
+        seen.append(("tail", sys_.product_tolerance, sys_.n_cap))
+        return tails(sys_, v)
 
     def eval_recording(sys_, z):
         # The evaluator reads only the tolerance (its depth cap is a
@@ -1142,6 +1206,6 @@ def test_series_truncation_bound_holds_on_chebyshev_oracle():
                       for x in pts.tolist()]) for pts in (v, inner))
     series = v * branches._series(branches._koenigs_data(sys)[0], v)
     assert np.all(np.abs(series - exact) <= est * np.abs(exact))
-    tail, steps, tail_est, conv = branches._tail_products(sys, inner, 5)
+    tail, steps, tail_est, conv = branches._tail_products(sys, inner)
     assert conv.all() and np.all(steps == 1) and np.all(tail_est <= est)
     assert np.all(np.abs(tail - exact_inner) <= tail_est * np.abs(exact_inner))

@@ -38,10 +38,13 @@ chunks cut the support shells of d = 3 unaligned.
 
 The shipped P are all unicritical, so their inverse branches take a closed
 form. GENERAL adds two P that are not, whose branches come from the root
-solver, and Chebyshev at n_cap 2, whose tails stop at the cap. WIDE is a P
-of degree 11, whose addresses are comma-separated and, from two digits
-on, quoted. Their problem files are written to a temporary directory, and
-the runs of GENERAL_RUNS and WIDE_RUNS name them by file name alone.
+solver; Chebyshev at n_cap 2, whose tails stop at the cap; and
+z^2 + (-1+0.3i), a unicritical P whose a and t_b are complex, unlike those
+of the shipped problems, so that its complex products round by the order
+of their operands. WIDE is a P of degree 11, whose addresses are
+comma-separated and, from two digits on, quoted. Their problem files are
+written to a temporary directory, and the runs of GENERAL_RUNS and
+WIDE_RUNS name them by file name alone.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
@@ -142,6 +145,8 @@ SHIPPED_RUNS = (
 # diverges), and check skips its product routes. chebyshev-ncap2.json is
 # chebyshev2.json with n_cap 2: a tail may take one principal step before
 # its series, so deeper leaves are flagged in the converged column.
+# complex-quadratic.json is z^2 + (-1+0.3i): closed-form branches with
+# complex a and t_b.
 GENERAL = (
     ("quartic.json",
      {"coefficients": [[-1.0, 0.2], [0.0, 0.0], [0.3, 0.0], [0.0, 0.0],
@@ -159,6 +164,11 @@ GENERAL = (
       "fixed_point_hint": [1.0, 0.0], "max_support": 12,
       "product_tolerance": 1e-12, "n_cap": 2, "root_tolerance": 1e-13},
      "1"),
+    ("complex-quadratic.json",
+     {"coefficients": [[-1.0, 0.3], [0.0, 0.0], [1.0, 0.0]],
+      "fixed_point_hint": [1.6, 0.0], "max_support": 4,
+      "product_tolerance": 1e-12, "n_cap": 200, "root_tolerance": 1e-13},
+     "1.6259431631344106,-0.13322164467203534"),
 )
 # Arguments after the problem path; {b} is the problem's fixed point.
 GENERAL_RUNS = (
