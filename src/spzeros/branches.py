@@ -14,7 +14,10 @@ which enumerates all solutions of f(z) = w. At w = 0 these are the zeros of
 f. The w = b case degenerates; solutions of f(z) = b are 0 and geometric
 ladders a^m * base over addresses whose first digit is nonzero. The walk
 reaches them from v = 0: leading zero digits hold v at exactly 0, and the
-first nonzero digit jumps to a preimage of b itself.
+first nonzero digit jumps to a preimage of b itself. at_fixed_point says
+which anchors are b. There a depth-N table's row of rung K (rung_of: the
+count of significant base-d digits of its padded index) is the depth-K
+ladder base times a^(N-K) (_rungs), with prefactor exponent N - K + 1.
 
 Numerically the product is carried in telescoped form. Since
 Q(u_n) = (u_{n-1} - b) / (u_n - b), the partial products collapse to
@@ -60,8 +63,8 @@ tie rule puts first, for any other P column 0 of the inverse step above.
 
 There is one orbit walker: _expand_level for the digit prefix, then
 _tail_products for the principal tail. The single products (zero_product,
-inverse_branch, g0_and_derivative) run it on a one-node array and scale as
-the sweep does: each is its address's row of sweep_products, bit for bit.
+inverse_branch, g0_and_derivative) run it on a one-node array and finish
+as the sweep does (_rungs): each is its address's row of sweep_products.
 The principal steps of the tail, of the Koenigs sample and of the
 Hypothesis-1 probe are one walker, _principal_orbit, which stops each orbit
 on entering a disc: radius r_s, delta/4 and delta. Every product reads its
@@ -707,34 +710,49 @@ class BranchSweep:
         return tuple(digits)
 
 
-def _rungs(sys, N, start, values, steps, est, conv):
-    """The w = b rule, in place, on the rows from index `start` of the
-    depth-N sweep seeded at v = 0: index segment [d^(K-1), d^K) is the
-    depth-K ladder sweep (sweep_solutions_at_b), a^K L(v_leaf) with K prefix
-    factors, times a^(N-K), and index 0 is the solution 0."""
-    for K in range(1, N + 1):
-        lo, hi = np.clip([sys.d ** (K - 1) - start, sys.d ** K - start],
-                         0, values.size)
-        values[lo:hi] = np.multiply(sys.a ** (N - K),
-                                    np.multiply(sys.a ** K, values[lo:hi]))
-        steps[lo:hi] += K
-    if start == 0:
-        values[0], steps[0], est[0], conv[0] = 0, 0, 0.0, True
+def at_fixed_point(sys, w):
+    """Whether anchor w is the degenerate anchor b: |w - b| <= W_NEAR_B."""
+    return abs(complex(w) - sys.b) <= W_NEAR_B
+
+
+def rung_of(d, depth, indices):
+    """Rung K of each padded index of the depth-N w = b table: its count of
+    significant base-d digits, so index segment [d^(K-1), d^K) is rung K
+    and index 0, the solution 0, rung 0."""
+    return np.searchsorted(d ** np.arange(depth, dtype=np.int64), indices,
+                           side="right")
+
+
+def _rungs(sys, at_b, N, start, values, steps, est, conv):
+    """Final values of the rows from index `start` of a depth-N sweep, the
+    other columns finished in place: a^N L(v_leaf) with N prefix factors,
+    or at w = b (at_b, seed v = 0) a^(N-K) (a^K L(v_leaf)) with K on rung K
+    (rung_of), the depth-K ladder sweep's row, and 0 on rung 0."""
+    if not at_b:
+        steps += N
+        return np.multiply(sys.a ** N, values)
+    K = rung_of(sys.d, N, np.arange(start, start + values.size))
+    power = np.array([sys.a ** k for k in range(N + 1)])
+    values = np.multiply(power[N - K], np.multiply(power[K], values))
+    steps += K
+    zero = K == 0
+    values[zero], steps[zero], est[zero], conv[zero] = 0, 0, 0.0, True
+    return values
 
 
 def _sweep_chunks(sys, w, depth):
     """The depth-N sweep at anchor w (N = depth), one frozen BranchSweep
     per fixed chunk of whole subtrees, at its offset, in index order.
 
-    The seed is v = w - b, v = 0 at the degenerate anchor (|w - b| <=
-    W_NEAR_B), or for w None the digit children of b, whose ladder bases
-    start at offset d^(N-1). Seeds are expanded whole until one subtree
-    fits CHUNK_LEAVES, and a chunk holds as many whole subtrees as fit. A
-    row is a^N L(v_leaf) with N prefix factors; at the degenerate anchor
-    each chunk takes the rung rule (_rungs).
+    The seed is v = w - b, v = 0 at the degenerate anchor (at_fixed_point),
+    or for w None the digit children of b, whose ladder bases start at
+    offset d^(N-1). Seeds are expanded whole until one subtree
+    fits CHUNK_LEAVES, and a chunk holds as many whole subtrees as fit.
+    _rungs finishes each chunk: a row is a^N L(v_leaf) with N prefix
+    factors, or at the degenerate anchor takes the rung rule.
     """
     N = depth
-    at_b = w is not None and abs(w - sys.b) <= W_NEAR_B
+    at_b = w is not None and at_fixed_point(sys, w)
     if w is None:
         v = _expand_level(sys, np.zeros(1, dtype=np.complex128))[1:]
         levels, offset = N - 1, sys.d ** (N - 1)
@@ -751,11 +769,7 @@ def _sweep_chunks(sys, w, depth):
             cv = _expand_level(sys, cv)
         start = offset + lo * sys.d ** levels
         values, steps, est, conv = _tail_products(sys, cv)
-        if at_b:
-            _rungs(sys, N, start, values, steps, est, conv)
-        else:
-            values = np.multiply(sys.a ** N, values)
-            steps += N
+        values = _rungs(sys, at_b, N, start, values, steps, est, conv)
         yield BranchSweep(depth=N, d=sys.d, anchor=w, offset=start,
                           values=values, terms_used=steps, tail_estimate=est,
                           converged=conv)
@@ -782,9 +796,9 @@ def sweep_products(sys, w, max_support):
     One batched pass over the padded address tree of depth N = max_support
     (_sweep_chunks); shared digit prefixes share their orbits and partial
     products, and a leaf's value is a^N L(v_leaf), with N prefix factors.
-    At the degenerate anchor (|w - b| <= W_NEAR_B) the pass starts from
-    v = 0, as inverse_branch does: leading zero digits keep v at exactly 0,
-    so index segment [d^(K-1), d^K) holds the depth-K ladder sweep
+    At the degenerate anchor (at_fixed_point) the pass starts from v = 0,
+    as inverse_branch does: leading zero digits keep v at exactly 0, so
+    the rows of rung K (rung_of) hold the depth-K ladder sweep
     (sweep_solutions_at_b) times a^(N-K), and index 0 is the solution 0.
     """
     w = complex(w)
@@ -816,9 +830,9 @@ def _address_product(sys, sigma, w, label):
 
     Each digit expands the single node with _expand_level and keeps the
     child it names; the tail and the scaling are the sweep's, a^N L(v_leaf)
-    with N digits. At the degenerate anchor it is the rung rule (_rungs):
-    the z leading zeros are stripped, the K digits left walked from v = 0,
-    and the row is a^z (a^K L(v_leaf)) with K prefix factors.
+    with N digits. At the degenerate anchor every digit is walked from
+    v = 0, leading zeros included, and the row finishes by the rung rule
+    (_rungs) at its own index.
     """
     if not isinstance(sigma, SigmaSequence):
         sigma = SigmaSequence.from_digits(tuple(sigma))
@@ -827,26 +841,18 @@ def _address_product(sys, sigma, w, label):
         if dig >= sys.d:
             raise InvalidIndices(
                 f"digit {dig} out of range for degree {sys.d}")
-    v0 = complex(w) - sys.b
-    at_b = abs(v0) <= W_NEAR_B
-    if at_b:
-        if not digits:
-            return BranchProduct(value=0j, terms_used=0, tail_estimate=0.0,
-                                 converged=True)
-        zeros = sigma.first_nonzero() - 1
-        digits, v0 = digits[zeros:], 0j
-    v = np.array([v0], dtype=np.complex128)
+    at_b = at_fixed_point(sys, w)
+    v = np.array([0j if at_b else complex(w) - sys.b], dtype=np.complex128)
+    index = 0
     for dig in digits:
         v = _expand_level(sys, v)[dig:dig + 1]
-    tail, steps, est, conv = _tail_products(sys, v)
+        index = index * sys.d + dig
+    value, steps, est, conv = _tail_products(sys, v)
+    value = _rungs(sys, at_b, len(digits), index, value, steps, est, conv)
     if not conv[0]:
         raise NonConvergence(f"{label}: tail stopping rule unmet after "
                              f"{sys.n_cap} tail factors")
-    value = np.multiply(sys.a ** len(digits), tail)
-    if at_b:
-        value = np.multiply(sys.a ** zeros, value)
-    return BranchProduct(value=complex(value[0]),
-                         terms_used=len(digits) + int(steps[0]),
+    return BranchProduct(value=complex(value[0]), terms_used=int(steps[0]),
                          tail_estimate=float(est[0]), converged=True)
 
 
@@ -869,7 +875,7 @@ def g0_and_derivative(sys, w):
     evaluator of f; at w = b both are exact: (0, 1).
     """
     w = complex(w)
-    if abs(w - sys.b) <= W_NEAR_B:
+    if at_fixed_point(sys, w):
         return 0j, 1.0 + 0j
     g = _address_product(sys, (), w, "g0").value
     slope = complex(_eval_f_with_slope(sys, g)[1])
@@ -940,8 +946,7 @@ def tail_bound(sys, N, m, w=0j):
     if q >= 1.0:
         raise DivergentTail(f"d |a|^-m = {q:.6f} >= 1; tail diverges for m={m}")
     probe = min(TAIL_PROBE_SUPPORT, max(2, int(math.log(50000, sys.d))))
-    w = complex(w)
-    if abs(w - sys.b) <= W_NEAR_B:
+    if at_fixed_point(sys, w):
         sweep = sweep_solutions_at_b(sys, probe)
     else:
         sweep = sweep_products(sys, w, probe)

@@ -37,9 +37,10 @@ from dataclasses import replace
 import numpy as np
 
 from .branches import (
-    W_NEAR_B,
+    at_fixed_point,
     check_hypothesis1,
     relative_error,
+    rung_of,
     sweep_products,
 )
 from .errors import ParseError, SPZerosError, ValidationError
@@ -114,14 +115,15 @@ _COMMA, _NEWLINE = _ascii(","), _ascii("\n")
 _TRUE, _FALSE = _ascii(",true\0"), _ascii(",false")
 
 
-def _write_rows(fh, sweep, w=None, pref=None, flags=False):
+def _write_rows(fh, sweep, w=None, at_b=False, flags=False):
     """Write one CSV row per address of `sweep`, BLOCK_ROWS rows per write.
 
     A row holds the address, the anchor w when given (invert's w_re,w_im),
     re, im, terms_used, tail_estimate, then, with w, invert's
-    prefactor_exponent (the row's entry of `pref`, or empty where pref is
-    None) and, with `flags`, the converged column. Each float is printed as
-    format(x, ".17g") prints it.
+    prefactor_exponent, which is empty but in a w = b table (at_b): there
+    rung K (rung_of) prints the m = N - K + 1 of its a^m ladder prefactor
+    and rung 0, the solution 0, nothing; and, with `flags`, the converged
+    column. Each float is printed as format(x, ".17g") prints it.
     A block is one uint8 matrix of NUL-padded fields (spzeros.fields),
     written with its NULs deleted.
     """
@@ -142,9 +144,11 @@ def _write_rows(fh, sweep, w=None, pref=None, flags=False):
                   int_fields(sweep.terms_used[lo:hi]), _COMMA, floats[2 * n:]]
         if w is not None:
             fields.append(_COMMA)
-        if pref is not None:
-            fields.append(np.array(pref[lo:hi], dtype="S")
-                          .view(np.uint8).reshape(n, -1))
+        if at_b:
+            rung = rung_of(sweep.d, sweep.depth, idx)
+            pref = int_fields(sweep.depth - rung + 1)
+            pref[rung == 0] = 0
+            fields.append(pref)
         if flags:
             fields.append(np.where(sweep.converged[lo:hi, None],
                                    _TRUE, _FALSE))
@@ -235,21 +239,9 @@ def _hypothesis_gate(sys_):
     return report.passed
 
 
-def _prefactor_exponents(sys_, w, N):
-    """invert's prefactor_exponent column, padded-index order, as bytes, or
-    None at any anchor but w = b, whose rows leave it empty. At w = b it is
-    the m of a row's a^m ladder prefactor, its address's leading zeros plus
-    one: N - K + 1 on index segment [d^(K-1), d^K); index 0, the solution 0,
-    is empty."""
-    d = sys_.d
-    if abs(w - sys_.b) > W_NEAR_B:
-        return None
-    labels = [b""] + [b"%d" % (N - K + 1) for K in range(1, N + 1)]
-    counts = [1] + [d ** K - d ** (K - 1) for K in range(1, N + 1)]
-    return np.repeat(np.array(labels), counts)
-
-
 def cmd_zeros(spec, args):
+    if args.png_path is not None and args.png is None:
+        raise ValidationError("argument --png-path: needs --png")
     sys_ = system_from_spec(spec)
     if args.check_hypothesis and not _hypothesis_gate(sys_):
         return 3
@@ -312,7 +304,6 @@ def cmd_invert(spec, args):
     worst_excess = None  # (excess, violation, budget) at the worst row
     for w in anchors:
         sweep = sweep_products(sys_, w, spec.max_support)
-        pref = _prefactor_exponents(sys_, w, spec.max_support)
         all_ok = all_ok and bool(np.all(sweep.converged))
         if args.verify:
             violation, budget = _roundtrip_budget(sys_, w, sweep)
@@ -320,7 +311,7 @@ def cmd_invert(spec, args):
             excess = float(violation[j] - budget[j])
             if worst_excess is None or excess > worst_excess[0]:
                 worst_excess = (excess, float(violation[j]), float(budget[j]))
-        blocks.append((w, sweep, pref))
+        blocks.append((w, sweep))
 
     verified_ok = worst_excess is None or worst_excess[0] <= 0.0
     header = ["sigma", "w_re", "w_im", "re", "im", "terms_used",
@@ -329,8 +320,9 @@ def cmd_invert(spec, args):
         header.append("converged")
     with _output(args.output) as fh:
         fh.write(",".join(header) + "\n")
-        for w, sweep, pref in blocks:
-            _write_rows(fh, sweep, w=w, pref=pref, flags=not all_ok)
+        for w, sweep in blocks:
+            _write_rows(fh, sweep, w=w, at_b=at_fixed_point(sys_, w),
+                        flags=not all_ok)
     if args.verify and not verified_ok:
         print(f"verification failed: worst |f(g) - w| = "
               f"{worst_excess[1]:.3e} exceeds its error budget "

@@ -17,8 +17,8 @@ import numpy as np
 from . import dd
 from .branches import (
     UNIT_ROUNDOFF,
-    W_NEAR_B,
     _sweep_chunks,
+    at_fixed_point,
     geometric_tail,
     growth_floor,
     relative_error,
@@ -206,7 +206,7 @@ def _check_order(sys, m, w, max_support):
     convergence d |a|^-m < 1 and max_support >= 1."""
     if m < 1:
         raise ValueError("momentum order must be >= 1")
-    if abs(w - sys.b) <= W_NEAR_B:
+    if at_fixed_point(sys, w):
         raise ValidationError(
             f"momenta need an anchor away from the fixed point b = {sys.b}")
     q = sys.d * abs(sys.a) ** (-m)
@@ -391,7 +391,7 @@ def wh_eval(sys, z, w_anchor, max_support):
                             factors_used=1, tail_bound=0.0)
     inv_a = 1.0 / a_abs
 
-    if abs(w - sys.b) <= W_NEAR_B:
+    if at_fixed_point(sys, w):
         ladder = _ladder_sums(sys, max_support)
         bases = ladder.bases
         total = 1.0 + 0j

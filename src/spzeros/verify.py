@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import sweep_products
-from .errors import AmbiguousClustering
+from .branches import at_fixed_point, sweep_products
+from .errors import AmbiguousClustering, ValidationError
 from .factor import wh_eval
 from .poly import ComplexPolynomial
 from .system import build_system, eval_f_batch
@@ -158,8 +158,12 @@ def cross_check(sys, samples, max_support, anchor=0j, products=True,
     direct iteration. With products False only the round trips run (the
     product routes need d < |a|), and rows is empty. With roundtrip False no anchor
     is swept, f is evaluated at the samples alone, roundtrips is empty and
-    worst_roundtrip is 0.
+    worst_roundtrip is 0. An anchor at b is refused where the product
+    routes run: the anchored route would be the ladder route again.
     """
+    if products and at_fixed_point(sys, anchor):
+        raise ValidationError(f"the anchored route needs an anchor away "
+                              f"from the fixed point b = {sys.b}")
     samples = [complex(z) for z in samples]
     anchors = samples if roundtrip else []
     depth = min(ROUNDTRIP_SUPPORT, max_support)

@@ -590,6 +590,24 @@ def test_growth_floor_positive_and_stable():
         assert max(vals) / min(vals) < 10
 
 
+@pytest.mark.parametrize("make, depth", [
+    (golden_system, 14), (chebyshev_system, 14), (cubic_system, 9)])
+def test_tail_bound_holds_on_deeper_sweeps(make, depth):
+    # tail_bound(sys, N, m, w) bounds the sum of |g|^-m over support >= N.
+    # Its part over supports N .. depth, summed on a deeper sweep than the
+    # bound's own probe, stays below it: at w = b too, whose table holds
+    # every ladder rung times its a^m prefactor.
+    sys = make()
+    for w in (0j, -2 + 0.5j, sys.b):
+        sweep = sweep_products(sys, w, depth)
+        mag = np.abs(sweep.values)
+        for m in (1, 2, 3):
+            assert sys.d * abs(sys.a) ** -m < 1
+            for N in (3, 5, 8):
+                partial = math.fsum(mag[sweep.support >= N] ** -m)
+                assert 0 < partial < tail_bound(sys, N, m, w)
+
+
 def _same_bits(one, two):
     for name in ("values", "terms_used", "tail_estimate", "converged"):
         assert np.array_equal(getattr(one, name).view(np.uint8),

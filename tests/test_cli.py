@@ -478,6 +478,7 @@ def test_nonfinite_input_exit_code(args, edit, tmp_path, capsys):
     ["frobnicate", CHEB],
     ["zeros"],
     ["moments", CHEB, "--m", "1,33"],
+    ["zeros", CHEB, "--png-path", "zeros.png"],
 ])
 def test_usage_error_exit_code(args, monkeypatch, capsys):
     # A usage error is bad input: one error line and exit 1, not argparse's
@@ -512,6 +513,21 @@ def test_input_without_tail_bound_exit_code(args, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["wh", CUBIC, "--max-support", "6", "--z=1,0.5", "--anchor=2,0"],
+    ["check", CUBIC, "--anchor=2,0"],
+])
+def test_anchor_at_fixed_point_refused(args, capsys):
+    # cubic6's b is 2. An anchored route there would be the ladder route
+    # again, so wh and check refuse it as moments refuses w = b: one error
+    # line and exit 1, before any row.
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the anchored route needs an anchor away from "
+                   "the fixed point b = (2+0j)\n")
 
 
 def test_png_size_bound():

@@ -57,6 +57,17 @@ def reference_rows(sweep, w=None, pref=None, flags=False):
     return buf.getvalue()
 
 
+def ladder_prefactors(sweep):
+    """invert's prefactor_exponent column of a w = b table, counted from
+    the digits: leading zeros plus one, empty for the all-zero address."""
+    column = []
+    for idx in sweep.indices():
+        digits = sweep.digits_of(idx)
+        zeros = next((k for k, v in enumerate(digits) if v), None)
+        column.append("" if zeros is None else str(zeros + 1))
+    return column
+
+
 def block_rows(sweep, **kwargs):
     buf = io.StringIO()
     _write_rows(buf, sweep, **kwargs)
@@ -89,14 +100,14 @@ def test_zeros_rows_match_reference(d, depth, offset, flags):
 @pytest.mark.parametrize("w", [complex(-0.0, 5e-324), complex(2.0, -1e300)])
 def test_invert_rows_match_reference(d, depth, offset, w):
     sweep = synthetic_sweep(d, depth, offset, seed=1)
-    pref = [str(k % 4) if k % 4 else "" for k in range(sweep.values.size)]
-    text = block_rows(sweep, w=w, pref=pref, flags=True)
+    pref = ladder_prefactors(sweep)
+    text = block_rows(sweep, w=w, at_b=True, flags=True)
     assert text == reference_rows(sweep, w=w, pref=pref, flags=True)
     rows = list(csv.reader(io.StringIO(text)))
     assert [parsed_digits(r[0], d) for r in rows] == \
         [sweep.digits_of(i) for i in sweep.indices()]
     assert [r[7] for r in rows] == pref
-    # Away from w = b invert passes no prefactor column: the field is empty.
+    # Away from w = b the prefactor field is empty.
     empty = [""] * sweep.values.size
     text = block_rows(sweep, w=w, flags=True)
     assert text == reference_rows(sweep, w=w, pref=empty, flags=True)
@@ -106,9 +117,8 @@ def test_invert_rows_match_reference(d, depth, offset, w):
 def test_rows_cross_a_block_boundary():
     depth = math.ceil(math.log(BLOCK_ROWS + 1 + 5, 3))
     sweep = synthetic_sweep(3, depth, 5, size=BLOCK_ROWS + 1, seed=2)
-    pref = [str(k % 7) for k in range(BLOCK_ROWS + 1)]
     assert block_rows(sweep, flags=True) == reference_rows(sweep, flags=True)
     w = complex(math.inf, -0.0)
-    text = block_rows(sweep, w=w, pref=pref)
-    assert text == reference_rows(sweep, w=w, pref=pref)
+    text = block_rows(sweep, w=w, at_b=True)
+    assert text == reference_rows(sweep, w=w, pref=ladder_prefactors(sweep))
     assert text.count("\n") == BLOCK_ROWS + 1

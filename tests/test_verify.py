@@ -7,6 +7,7 @@ import pytest
 
 from spzeros import (
     AmbiguousClustering,
+    ValidationError,
     cluster_zeros,
     cross_check,
     eval_f_direct,
@@ -129,3 +130,14 @@ def test_cross_check_round_trips_the_fixed_point():
         report = cross_check(sys, [sys.b, 0.5j], 6, products=False)
         assert [w for w, _ in report.roundtrips] == [sys.b, 0.5j]
         assert report.worst_roundtrip <= 1e-7
+
+
+def test_cross_check_refuses_an_anchor_at_b():
+    # At b the anchored route would be the ladder route again, whose bound
+    # claimed_budget would then count twice. Without the product routes an
+    # anchor at b runs no anchored route, and the call goes through.
+    for sys in (chebyshev_system(), golden_system(), cubic_system()):
+        with pytest.raises(ValidationError, match="away from the fixed point"):
+            cross_check(sys, [0.5], 6, anchor=sys.b)
+        report = cross_check(sys, [0.5], 6, anchor=sys.b, products=False)
+        assert report.rows == ()

@@ -41,10 +41,13 @@ form. GENERAL adds two P that are not, whose branches come from the root
 solver; Chebyshev at n_cap 2, whose tails stop at the cap; and
 z^2 + (-1+0.3i), a unicritical P whose a and t_b are complex, unlike those
 of the shipped problems, so that its complex products round by the order
-of their operands. WIDE is a P of degree 11, whose addresses are
+of their operands. GENERAL_ONLY_RUNS adds the w = b table of
+z^2 + (-1+0.3i) at depth 16, whose rung K = 15 fills exactly one chunk
+of the sweep driver (2^14 rows), so that its complex products run on
+arrays of 256 KiB. WIDE is a P of degree 11, whose addresses are
 comma-separated and, from two digits on, quoted. Their problem files are
-written to a temporary directory, and the runs of GENERAL_RUNS and
-WIDE_RUNS name them by file name alone.
+written to a temporary directory, and the runs of GENERAL_RUNS,
+GENERAL_ONLY_RUNS and WIDE_RUNS name them by file name alone.
 Usage, from any directory:
 
     python3 tools/cli_digest.py > digest.txt
@@ -178,6 +181,11 @@ GENERAL_RUNS = (
     ("moments", "--max-support", "5"),
     ("check", "--max-support", "5"),
 )
+# (file name of GENERAL, arguments after its path), each run on that
+# problem alone.
+GENERAL_ONLY_RUNS = (
+    ("complex-quadratic.json", "invert", "--max-support", "16", "--w={b}"),
+)
 # P(z) = 2 z^11 - 1 (b = 1, a = 22). Its runs stay at depth 2, 121 rows:
 # depth 5 would be 161,051. Its momenta sum shells of 10 and 110 addresses.
 WIDE = (
@@ -227,6 +235,11 @@ def main():
                     rest_b = [arg.format(b=b) for arg in rest]
                     _digest(env, [command, paths[name], *rest_b],
                             [command, name, *rest_b])
+        fixed_points = {name: b for name, _, b in GENERAL}
+        for name, command, *rest in GENERAL_ONLY_RUNS:
+            rest_b = [arg.format(b=fixed_points[name]) for arg in rest]
+            _digest(env, [command, paths[name], *rest_b],
+                    [command, name, *rest_b])
 
 
 if __name__ == "__main__":
